@@ -12,6 +12,11 @@ re-unpack matrix bits on every launch; the plain variants run against the
 matrix's warm :class:`~repro.kernels.plan.SweepPlan` — the repeated-launch
 regime a serving graph lives in.  ``--json PATH`` writes every measured
 median as machine-readable ``BENCH_wallclock_kernels.json`` rows.
+
+The ``*_min_plus`` cases time SSSP's relaxation kernels on
+``hybrid_pattern(2048, seed=4)`` at B2SR-32 (the engine's transposed
+operand, 226 tiles) with a half-unreached distance operand — the
+set-bit path of the min/max semirings.
 """
 
 import numpy as np
@@ -19,12 +24,21 @@ import pytest
 import scipy.sparse as sp
 
 from repro.bitops.packing import pack_bitvector
-from repro.datasets.generators import block_pattern, diagonal_pattern
+from repro.datasets.generators import (
+    block_pattern,
+    diagonal_pattern,
+    hybrid_pattern,
+)
 from repro.kernels import planless
 from repro.kernels.bmm import bmm_bin_bin_sum
-from repro.kernels.bmv import bmv_bin_bin_bin, bmv_bin_bin_full, bmv_bin_full_full
+from repro.kernels.bmv import (
+    bmv_bin_bin_bin,
+    bmv_bin_bin_full,
+    bmv_bin_full_full,
+    bmv_bin_full_full_multi,
+)
 from repro.kernels.csr_spmv import csr_spmv
-from repro.semiring import ARITHMETIC
+from repro.semiring import ARITHMETIC, MIN_PLUS
 
 BENCH = "wallclock_kernels"
 
@@ -53,6 +67,48 @@ def banded():
 def blocky():
     g = block_pattern(2048, block_size=32, seed=2, intra_density=0.5)
     return g
+
+
+@pytest.fixture(scope="module")
+def hybrid():
+    g = hybrid_pattern(2048, seed=4)
+    A = g.b2sr_t(32)
+    A.plan().warm((1, 8, 32))
+    return g, A
+
+
+def distances(n: int, k: int | None) -> np.ndarray:
+    """A mid-run SSSP operand: finite distances, half still +inf."""
+    rng = np.random.default_rng(k or 0)
+    shape = (n,) if k is None else (n, k)
+    x = (rng.random(shape) * 8).astype(np.float32)
+    x[rng.random(shape) < 0.5] = np.inf
+    return x
+
+
+def test_wallclock_bmv_bin_full_full_min_plus(benchmark, hybrid, json_report):
+    g, A = hybrid
+    x = distances(g.n, None)
+    bmv_bin_full_full(A, x, MIN_PLUS)  # first launch builds plan state
+    benchmark(bmv_bin_full_full, A, x, MIN_PLUS)
+    emit_benchmark(
+        json_report, benchmark, "bmv_bin_full_full_min_plus",
+        graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=1,
+    )
+
+
+@pytest.mark.parametrize("k", (1, 8, 32))
+def test_wallclock_bmv_bin_full_full_multi_min_plus(
+    benchmark, hybrid, json_report, k
+):
+    g, A = hybrid
+    X = distances(g.n, k)
+    bmv_bin_full_full_multi(A, X, MIN_PLUS)
+    benchmark(bmv_bin_full_full_multi, A, X, MIN_PLUS)
+    emit_benchmark(
+        json_report, benchmark, "bmv_bin_full_full_multi_min_plus",
+        graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=k,
+    )
 
 
 def test_wallclock_bmv_bin_bin_bin(benchmark, banded, json_report):

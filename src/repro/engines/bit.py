@@ -16,8 +16,10 @@ from repro.bitops.packing import (
     unpack_bitmatrix,
     unpack_bitvector,
 )
+from repro.formats.b2sr import B2SRMatrix
 from repro.formats.stats import bandwidth_profile
 from repro.graph import Graph
+from repro.gpusim.counters import KernelStats
 from repro.gpusim.device import GTX1080, DeviceSpec
 from repro.engines.base import Engine
 from repro.kernels.bmm import bmm_bin_bin_sum_masked, bmm_pair_count
@@ -27,13 +29,47 @@ from repro.kernels.bmv import (
     bmv_bin_full_full,
     bmv_bin_full_full_multi,
 )
+from repro.kernels import costmodel
 from repro.kernels.costmodel import (
     bmm_stats,
     bmv_skip_crossover,
-    bmv_stats,
     ewise_dense_stats,
 )
 from repro.semiring import Semiring, value_dtype
+
+
+def bmv_stats(
+    memo: dict,
+    A: B2SRMatrix,
+    scheme: str,
+    device: DeviceSpec,
+    *,
+    locality: float,
+    k: int = 1,
+    value_bytes: float = 4.0,
+    active_tiles: float | None = None,
+) -> KernelStats:
+    """:func:`repro.kernels.costmodel.bmv_stats`, memoized in ``memo``.
+
+    Each engine prices every BMV launch through this with its own
+    ``memo``: the matrix, device and locality are fixed per engine, so
+    ``(scheme, k, value_bytes, active_tiles)`` identifies the price, and
+    a serving round loop re-prices the same few keys thousands of times.
+    It stays a module-level call per launch so per-launch hooks on
+    ``repro.engines.bit.bmv_stats`` still see every launch.  Hits return
+    the memoized object itself; the engine only ever adds it into its
+    own accumulators (``KernelStats.__iadd__`` leaves its right operand
+    untouched), so it is never mutated.
+    """
+    key = (scheme, k, value_bytes, active_tiles)
+    stats = memo.get(key)
+    if stats is None:
+        stats = costmodel.bmv_stats(
+            A, scheme, device, locality=locality, k=k,
+            value_bytes=value_bytes, active_tiles=active_tiles,
+        )
+        memo[key] = stats
+    return stats
 
 
 class BitEngine(Engine):
@@ -76,21 +112,34 @@ class BitEngine(Engine):
         skip_inactive: bool | str = "auto",
     ) -> None:
         super().__init__(graph, device)
-        self.tile_dim = tile_dim
+        self._install(
+            graph.b2sr_t(tile_dim),
+            float(
+                np.clip(bandwidth_profile(graph.csr_t)["diag_fraction"], 0, 1)
+            ),
+            skip_inactive,
+        )
+
+    def _install(
+        self, At: B2SRMatrix, locality: float, skip_inactive: bool | str
+    ) -> None:
+        """Engine state over a built B2SR operand (also used by engines
+        that attach a matrix without a :class:`Graph`)."""
         if skip_inactive not in (True, False, "auto"):
             raise ValueError(
                 "skip_inactive must be True, False or 'auto', "
                 f"got {skip_inactive!r}"
             )
+        self.tile_dim = At.tile_dim
         self.skip_inactive = skip_inactive
-        self._At = graph.b2sr_t(tile_dim)
-        self._locality = float(
-            np.clip(bandwidth_profile(graph.csr_t)["diag_fraction"], 0, 1)
-        )
+        self._At = At
+        self._locality = locality
         # Adaptive-skip state: last observed active fraction per op and
         # the memoized model crossover per (scheme, value_bytes).
         self._last_frac: dict[str, float] = {}
         self._crossover_cache: dict[tuple[str, float], float] = {}
+        #: Memoized BMV launch prices (:func:`bmv_stats`).
+        self._bmv_prices: dict[tuple, KernelStats] = {}
         #: Rounds the auto policy ran dense (introspection/tests).
         self.auto_dense_rounds = 0
 
@@ -205,7 +254,7 @@ class BitEngine(Engine):
         )
         self.add_kernel(
             bmv_stats(
-                self._At, "bin_bin_bin_masked", self.device,
+                self._bmv_prices, self._At, "bin_bin_bin_masked", self.device,
                 locality=self._locality,
                 active_tiles=self._bmv_active(use_skip, counters),
             )
@@ -233,7 +282,7 @@ class BitEngine(Engine):
             skip=use_skip, counters=counters,
         )
         stats = bmv_stats(
-            self._At, "bin_full_full", self.device,
+            self._bmv_prices, self._At, "bin_full_full", self.device,
             locality=self._locality, value_bytes=float(dt.itemsize),
             active_tiles=self._bmv_active(use_skip, counters),
         )
@@ -270,7 +319,7 @@ class BitEngine(Engine):
         )
         self.add_kernel(
             bmv_stats(
-                self._At, "bin_bin_bin_masked", self.device,
+                self._bmv_prices, self._At, "bin_bin_bin_masked", self.device,
                 locality=self._locality, k=F.shape[1],
                 active_tiles=self._bmv_active(use_skip, counters),
             )
@@ -303,7 +352,7 @@ class BitEngine(Engine):
         )
         self.add_kernel(
             bmv_stats(
-                self._At, "bin_full_full", self.device,
+                self._bmv_prices, self._At, "bin_full_full", self.device,
                 locality=self._locality, k=k,
                 value_bytes=float(dt.itemsize),
                 active_tiles=self._bmv_active(use_skip, counters),

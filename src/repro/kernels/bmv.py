@@ -80,6 +80,25 @@ Every kernel returns bitwise-identical results with skip on or off;
 ``counters=`` receives ``active_tiles`` / ``tile_visits`` so the cost
 model can charge only the work actually done.
 
+**Set-bit execution.**  The tile sweep of the semiring schemes expands
+every stored tile to a ``d × d`` (× ``k``) masked gather, although a
+binary tile only needs its set bits.  When the add monoid is
+``np.minimum`` or ``np.maximum`` (min-plus SSSP, min-second FastSV CC,
+max-times), :func:`bmv_bin_full_full` and :func:`bmv_bin_full_full_multi`
+instead gather ``mult(1, x)`` at one entry per stored bit, fold each
+output row's entries with one ``ufunc.reduceat`` and scatter the result
+into the identity-initialised output — the plan's
+:class:`~repro.kernels.plan.SetBitIndex`, built on the first such launch.
+A min/max returns one of its operands, so fold order cannot change the
+value and the answer is bit-identical to the tile sweep — except for
+NaN (which NaN's sign and payload survives) and ``-0.0`` (which signed
+zero wins), where it does depend on order; an operand containing either
+takes the tile sweep.  The arithmetic semiring (PageRank) always takes
+the tile sweep: its float sums are order-sensitive and the tile sweep's
+fold order is the contract.  The kernels report the tile sweep's
+``active_tiles`` / ``tile_visits`` on either path, so the modeled cost
+is independent of the host strategy.
+
 The only Python-level loops are the tile-chunk loops bounding dense-unpack
 scratch (``_CHUNK_TILES`` elements across all ``k`` columns).
 """
@@ -535,6 +554,65 @@ def bmv_bin_bin_full_multi(
 # ---------------------------------------------------------------------------
 # Full-precision vector (semiring) schemes
 # ---------------------------------------------------------------------------
+def _set_bit_exact(semiring: Semiring, xv: np.ndarray) -> bool:
+    """Whether the set-bit sweep reproduces the dense sweep bit for bit.
+
+    Only min/max add monoids qualify — their fold picks one of its
+    operands, so the order of the fold cannot change the value — and
+    only for operands free of NaN and ``-0.0``: which NaN (sign and
+    payload) or which signed zero a min/max returns does depend on the
+    order.  ``xv`` is non-empty.
+    """
+    if semiring.add not in (np.minimum, np.maximum):
+        return False
+    if np.isnan(xv.min()):
+        return False
+    return not np.signbit(xv[xv == 0]).any()
+
+
+def _set_bit_sweep(
+    A: B2SRMatrix,
+    pl: SweepPlan,
+    semiring: Semiring,
+    xv: np.ndarray,
+    y: np.ndarray,
+    planes: list[slice],
+    skip: bool,
+    counters: dict | None,
+) -> None:
+    """Set-bit execution (module docstring): gather ``mult(1, x)`` at
+    every stored bit, fold each row's run with one ``reduceat`` and
+    scatter into ``y``, the identity-initialised output viewed as
+    ``(n_tile_rows·d[, k])``.
+
+    ``counters`` receive exactly what the tile sweep over ``planes``
+    would report, so the modeled cost does not depend on the host
+    strategy.
+    """
+    visits = A.n_tiles * len(planes)
+    if skip:
+        k = xv.shape[1] if xv.ndim == 2 else None
+        xpad = pl.value_scratch(xv.dtype, k)
+        xpad[: A.ncols] = xv
+        active = sum(
+            int(np.count_nonzero(
+                value_activity(xpad[..., sl], A.tile_dim, semiring.zero)[
+                    A.indices
+                ]
+            ))
+            for sl in planes
+        )
+        note_active(counters, active, visits)
+    else:
+        note_active(counters, visits, visits)
+    index = pl.set_bits
+    if index.starts.size:
+        # ``take`` rather than fancy indexing: same values, and several
+        # times faster for the 2-D batch operand.
+        vals = np.take(semiring.mult_matrix_one(xv), index.gather, axis=0)
+        y[index.rows] = semiring.add.reduceat(vals, index.starts, axis=0)
+
+
 def bmv_bin_full_full(
     A: B2SRMatrix,
     x: np.ndarray,
@@ -562,6 +640,10 @@ def bmv_bin_full_full(
     — their contribution slots are pre-filled with the identity the
     dense sweep would produce, so the fold is bit-for-bit unchanged
     (exact for every semiring, SSSP's +∞-heavy early rounds included).
+
+    Min/max semirings on NaN- and ``-0.0``-free operands run the
+    set-bit path instead, with the same result bits and counters
+    (module docstring, "Set-bit execution").
     """
     dt = value_dtype(x)
     xv = np.asarray(x).astype(dt, copy=False)
@@ -578,6 +660,11 @@ def bmv_bin_full_full(
         return y.reshape(-1)[: A.nrows]
 
     pl = _resolve_plan(A, plan)
+    if _set_bit_exact(semiring, xv):
+        _set_bit_sweep(
+            A, pl, semiring, xv, y.reshape(-1), [slice(None)], skip, counters
+        )
+        return y.reshape(-1)[: A.nrows]
     # Pad x to whole tiles; padded entries are never selected because the
     # corresponding matrix bits are structurally absent.
     xpad = pl.value_scratch(dt)
@@ -664,7 +751,8 @@ def bmv_bin_full_full_multi(
     plane deep and the tile payloads stream once per sweep.  With
     ``skip=True`` a tile is compute-elided per plane when every value of
     its segment across the plane's columns is bit-identical to the
-    semiring identity (see :func:`bmv_bin_full_full`).
+    semiring identity (see :func:`bmv_bin_full_full`, also for the
+    set-bit path of the min/max semirings).
     """
     dt = value_dtype(x)
     xv = np.asarray(x).astype(dt, copy=False)
@@ -682,10 +770,15 @@ def bmv_bin_full_full_multi(
         return y.reshape(-1, k)[: A.nrows]
 
     pl = _resolve_plan(A, plan)
+    stripes = plane_slices(k, d)
+    if _set_bit_exact(semiring, xv):
+        _set_bit_sweep(
+            A, pl, semiring, xv, y.reshape(-1, k), stripes, skip, counters
+        )
+        return y.reshape(-1, k)[: A.nrows]
     xpad = pl.value_scratch(dt, k)
     xpad[: A.ncols] = xv
     gather = pl.gather_index
-    stripes = plane_slices(k, d)
     zero = dt.type(semiring.zero)
     act_plane = (
         [value_activity(xpad[:, sl], d, semiring.zero) for sl in stripes]

@@ -23,6 +23,10 @@ overhead dominates the host wall-clock.
   the semiring schemes);
 * **value scratch** — zero-padded operand buffers per ``(dtype, k)``
   (the pad tail past ``ncols`` is written once and never dirtied);
+* **set-bit index** — :class:`SetBitIndex`, the stored bits in CSR
+  order as a ``(gather, starts, rows)`` triple, built on the first
+  min/max-semiring launch (the set-bit execution path of
+  :mod:`repro.kernels.bmv`);
 
 (The BMM contraction operand — the column-major tile repacking — is
 memoized on the matrix itself, :meth:`B2SRMatrix.colmajor_tiles`.)
@@ -100,6 +104,25 @@ class SweepChunk:
         return self.hi - self.lo
 
 
+@dataclass(frozen=True)
+class SetBitIndex:
+    """Every stored bit of a matrix in CSR order (row-major, columns
+    ascending within a row) — the index of the set-bit sweep.
+
+    The output row ``rows[i]`` folds ``x[gather[starts[i]:starts[i+1]]]``
+    (the last run extends to the end of ``gather``); rows with no set
+    bit are absent.  All three arrays are read-only (``int32`` unless
+    the matrix is too large for it).
+    """
+
+    #: Column of every set bit.
+    gather: np.ndarray
+    #: Offset of each non-empty row's run in :attr:`gather`.
+    starts: np.ndarray
+    #: Row of each run.
+    rows: np.ndarray
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -130,6 +153,7 @@ class SweepPlan:
         self._bits_bytes = 0
         self._scratch: dict[tuple[str, int | None], np.ndarray] = {}
         self._folds: dict[tuple, SequentialFoldPlan] = {}
+        self._set_bits: SetBitIndex | None = None
 
     # ------------------------------------------------------------------
     # Chunk tables
@@ -300,6 +324,38 @@ class SweepPlan:
             self._bits_bytes += cost
         return G if subset is None else G[subset]
 
+    @property
+    def set_bits(self) -> SetBitIndex:
+        """The stored bits in CSR order (:class:`SetBitIndex`), derived
+        from the tiles on first use and memoized."""
+        if self._set_bits is None:
+            A = self.matrix
+            d = A.tile_dim
+            # One (tile, tile row r) word per pair, visited in output-row
+            # order: tile row, then r, then tile — the tiles of a tile
+            # row are sorted by column block, so the set bits come out
+            # in ascending column order within every output row.
+            pair_row = (
+                A.tile_row_of()[:, None] * d + np.arange(d, dtype=np.int64)
+            ).ravel()
+            order = np.argsort(pair_row, kind="stable")
+            words = A.tiles.ravel()[order]
+            shifts = np.arange(d, dtype=words.dtype)
+            pair, col = np.nonzero((words[:, None] >> shifts) & 1)
+            src = order[pair]
+            row = pair_row[src]
+            gather = A.indices[src // d] * d + col
+            starts = run_starts(row)
+            # int32 halves the index's memory and launches no slower.
+            span = max(gather.size, A.n_tile_rows * d, A.n_tile_cols * d)
+            dt = np.int32 if span < 2**31 else np.int64
+            self._set_bits = SetBitIndex(
+                gather=_freeze(gather.astype(dt)),
+                starts=_freeze(starts.astype(dt)),
+                rows=_freeze(row[starts].astype(dt)),
+            )
+        return self._set_bits
+
     def seq_fold(self, chunk: SweepChunk) -> SequentialFoldPlan:
         """The chunk's precompiled sequential segment-sum
         (:class:`~repro.bitops.segreduce.SequentialFoldPlan`) — the
@@ -395,6 +451,7 @@ class SweepPlan:
             "bits_cached_chunks": float(len(self._bits)),
             "scratch_buffers": float(len(self._scratch)),
             "gather_cached": float(self._gather is not None),
+            "set_bits_cached": float(self._set_bits is not None),
         }
 
 
@@ -458,6 +515,7 @@ def note_active(
 
 __all__ = [
     "DEFAULT_BITS_BUDGET_BYTES",
+    "SetBitIndex",
     "SweepChunk",
     "SweepPlan",
     "note_active",

@@ -162,18 +162,7 @@ class ShmBitEngine(BitEngine):
         self.algorithm_stats = KernelStats()
         self.kernel_stats = KernelStats()
         self._iterations = 0
-        self.tile_dim = At.tile_dim
-        if skip_inactive not in (True, False, "auto"):
-            raise ValueError(
-                f"skip_inactive must be True, False or 'auto', "
-                f"got {skip_inactive!r}"
-            )
-        self.skip_inactive = skip_inactive
-        self._At = At
-        self._locality = float(locality)
-        self._last_frac = {}
-        self._crossover_cache = {}
-        self.auto_dense_rounds = 0
+        self._install(At, float(locality), skip_inactive)
         self._n = int(n)
 
     @property

@@ -1,6 +1,8 @@
 """Engine accounting tests: stat accumulation, kernel-vs-algorithm rows,
 direction optimization."""
 
+from dataclasses import asdict
+
 import numpy as np
 
 from repro.algorithms import bfs
@@ -86,6 +88,74 @@ class TestBitEngine:
         nxt = e.frontier_expand(frontier, visited)
         assert not nxt[0]
         assert nxt.sum() == 2  # grid corner has two neighbours
+
+
+class TestLaunchPriceMemo:
+    """The bit engine memoizes BMV launch prices per engine; the modeled
+    stats must equal an unmemoized run field for field."""
+
+    @staticmethod
+    def _run_all(g, skip):
+        from repro.algorithms import (
+            connected_components,
+            multi_source_bfs,
+            multi_source_sssp,
+            pagerank,
+            sssp,
+        )
+
+        gs = g.symmetrized()
+        e = BitEngine(g, tile_dim=8, skip_inactive=skip)
+        es = BitEngine(gs, tile_dim=8, skip_inactive=skip)
+        reports = []
+        for run in (
+            lambda: bfs(e, 0),
+            lambda: sssp(e, 0),
+            lambda: multi_source_bfs(e, np.arange(0, g.n, 5)),
+            lambda: multi_source_sssp(e, np.arange(0, g.n, 5)),
+            lambda: pagerank(e),
+            lambda: connected_components(es),
+            lambda: bfs(e, 3),  # repeat launches: all memo hits
+        ):
+            _, rep = run()
+            reports.append((asdict(rep.kernel_stats),
+                            asdict(rep.algorithm_stats)))
+        return reports, e
+
+    def test_memoized_stats_equal_unmemoized(self, monkeypatch):
+        import repro.engines.bit as bit
+        from repro.kernels import costmodel
+
+        g = diagonal_pattern(160, bandwidth=3, seed=5)
+        for skip in (False, True, "auto"):
+            memo, e = self._run_all(g, skip)
+            assert e._bmv_prices
+            priced = dict(e._bmv_prices)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    bit, "bmv_stats",
+                    lambda memo, *a, **kw: costmodel.bmv_stats(*a, **kw),
+                )
+                plain, _ = self._run_all(g, skip)
+            assert memo == plain
+            # Accumulating the memoized prices never mutated them.
+            memo2, e2 = self._run_all(g, skip)
+            assert memo2 == memo
+            for key, stats in priced.items():
+                scheme, k, value_bytes, active = key
+                assert asdict(stats) == asdict(costmodel.bmv_stats(
+                    e._At, scheme, e.device, locality=e._locality, k=k,
+                    value_bytes=value_bytes, active_tiles=active,
+                ))
+
+    def test_hits_share_one_price(self):
+        g = diagonal_pattern(160, bandwidth=3, seed=5)
+        e = BitEngine(g, tile_dim=8, skip_inactive=False)
+        bfs(e, 0)
+        launches = e.kernel_stats.launches
+        assert launches > 1
+        assert len(e._bmv_prices) == 1
+        assert e.kernel_stats is not next(iter(e._bmv_prices.values()))
 
 
 class TestGraphBLASTEngine:

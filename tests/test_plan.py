@@ -24,7 +24,13 @@ from repro.kernels import bmv, planless
 from repro.kernels.costmodel import bmv_stats
 from repro.kernels.plan import SweepPlan, value_activity, word_activity
 from repro.gpusim.device import GTX1080
-from repro.semiring import ARITHMETIC, MIN_PLUS, SEMIRINGS
+from repro.semiring import (
+    ARITHMETIC,
+    MAX_TIMES,
+    MIN_PLUS,
+    MIN_SECOND,
+    SEMIRINGS,
+)
 
 
 def build(n=77, d=8, density=0.1, seed=0):
@@ -153,6 +159,195 @@ class TestBitwiseEquality:
                 bmv.bmv_bin_full_full(A, x, MIN_PLUS, skip=skip),
                 planless.bmv_bin_full_full(A, x, MIN_PLUS),
             )
+
+
+# ----------------------------------------------------------------------
+# Set-bit execution (min/max semirings)
+# ----------------------------------------------------------------------
+SET_BIT_SEMIRINGS = (MIN_PLUS, MIN_SECOND, MAX_TIMES)
+
+#: NaNs with distinct sign / payload bits (quiet and signalling).
+_NAN_BITS = {
+    np.float32: [0x7FC00000, 0xFFC00000, 0x7FC00001, 0x7F800001,
+                 0xFF812345],
+    np.float64: [0x7FF8000000000000, 0xFFF8000000000000,
+                 0x7FF8000000000001, 0x7FF0000000000001,
+                 0xFFF0000123456789],
+}
+
+
+def adversarial_operand(rng, shape, dt, *, nan=True, neg_zero=True):
+    """Random values salted with ±0.0, ±inf and (optionally) NaNs of
+    several bit patterns."""
+    x = (rng.standard_normal(shape) * 4).astype(dt)
+    specials = [np.dtype(dt).type(v) for v in (0.0, np.inf, -np.inf)]
+    if neg_zero:
+        specials.append(np.dtype(dt).type(-0.0))
+    if nan:
+        u = np.dtype(f"u{np.dtype(dt).itemsize}")
+        specials.extend(np.array(_NAN_BITS[dt], dtype=u).view(dt))
+    salt = rng.random(shape) < 0.35
+    pick = rng.integers(0, len(specials), size=shape)
+    x[salt] = np.array(specials, dtype=dt)[pick[salt]]
+    return x
+
+
+class TestSetBitExecution:
+    @pytest.mark.parametrize("s", SET_BIT_SEMIRINGS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("d", (4, 8, 32))
+    @pytest.mark.parametrize("dt", (np.float32, np.float64),
+                             ids=("f32", "f64"))
+    @pytest.mark.parametrize("skip", (False, True))
+    @pytest.mark.parametrize("kind", ("1", "5", "d+1"))
+    def test_adversarial_operands_bitwise(self, s, d, dt, skip, kind):
+        """±0.0, NaN payloads and ±inf: operands with a NaN or -0.0 must
+        take the dense path; the rest take the set-bit path — either
+        way the answer is bit-identical to the planless reference."""
+        k = {"1": 1, "5": 5, "d+1": d + 1}[kind]
+        A, dense, rng = build(n=77, d=d, density=0.12, seed=d + k)
+        for flags in (
+            dict(nan=True, neg_zero=True),
+            dict(nan=True, neg_zero=False),
+            dict(nan=False, neg_zero=True),
+            dict(nan=False, neg_zero=False),
+        ):
+            X = adversarial_operand(rng, (77, k), dt, **flags)
+            x = X[:, 0]
+            # Signalling NaNs raise "invalid" in min-plus's x + 1.
+            with np.errstate(invalid="ignore"):
+                got = bmv.bmv_bin_full_full_multi(A, X, s, skip=skip)
+                want = planless.bmv_bin_full_full_multi(A, X, s)
+                got1 = bmv.bmv_bin_full_full(A, x, s, skip=skip)
+                want1 = planless.bmv_bin_full_full(A, x, s)
+            assert got.dtype == np.dtype(dt)
+            assert bitwise_equal(got, want), flags
+            assert bitwise_equal(got1, want1), flags
+
+    def test_path_choice(self):
+        """Clean min/max operands build the set-bit index; NaN or -0.0
+        operands and the arithmetic semiring never do."""
+        for x_bad in (np.array([np.nan]), np.array([-0.0])):
+            A, dense, rng = build(n=40, d=8, seed=3)
+            x = np.ones(40, dtype=np.float32)
+            x[7] = x_bad[0]
+            bmv.bmv_bin_full_full(A, x, MIN_PLUS)
+            bmv.bmv_bin_full_full(A, x, ARITHMETIC)
+            assert A.plan().stats()["set_bits_cached"] == 0.0
+        x[7] = 0.0
+        bmv.bmv_bin_full_full(A, x, MIN_PLUS)
+        assert A.plan().stats()["set_bits_cached"] == 1.0
+
+    @pytest.mark.parametrize("d", TILE_DIMS)
+    def test_index_matches_source_csr(self, d):
+        """The (gather, starts, rows) triple is the CSR of the matrix
+        the B2SR was built from: non-empty rows, their offsets and
+        their sorted columns (self-loops and a ragged last tile
+        included)."""
+        A, dense, rng = build(n=77, d=d, density=0.1, seed=d)
+        dense[np.arange(0, 77, 3), np.arange(0, 77, 3)] = 1.0
+        A = b2sr_from_dense(dense, d)
+        idx = A.plan().set_bits
+        r, c = np.nonzero(dense)
+        assert np.array_equal(idx.gather, c)
+        assert np.array_equal(idx.rows, np.unique(r))
+        assert np.array_equal(
+            idx.starts, np.searchsorted(r, idx.rows, side="left")
+        )
+        assert A.plan().set_bits is idx
+        for arr in (idx.gather, idx.starts, idx.rows):
+            assert arr.dtype == np.int32
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_empty_matrix_and_empty_rows(self):
+        A = b2sr_from_dense(np.zeros((20, 20), dtype=np.float32), 8)
+        x = np.arange(20, dtype=np.float32)
+        assert bitwise_equal(
+            bmv.bmv_bin_full_full(A, x, MIN_PLUS),
+            planless.bmv_bin_full_full(A, x, MIN_PLUS),
+        )
+        dense = np.zeros((20, 20), dtype=np.float32)
+        dense[5, 17] = 1.0
+        A = b2sr_from_dense(dense, 8)
+        X = np.arange(40, dtype=np.float64).reshape(20, 2)
+        got = bmv.bmv_bin_full_full_multi(A, X, MAX_TIMES)
+        assert bitwise_equal(
+            got, planless.bmv_bin_full_full_multi(A, X, MAX_TIMES)
+        )
+        assert got[5].tolist() == [34.0, 35.0]
+
+    @pytest.mark.parametrize("s", SET_BIT_SEMIRINGS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("d", (4, 8, 32))
+    def test_counters_match_dense_sweep(self, s, d, monkeypatch):
+        """active_tiles / tile_visits are what the tile sweep reports,
+        for skip on and off, single and striped multi-plane launches."""
+        A, dense, rng = build(n=77, d=d, density=0.12, seed=d)
+        ops = []
+        for k in (None, 1, 2 * d + 3):
+            X = adversarial_operand(
+                rng, (77,) if k is None else (77, k), np.float32,
+                nan=False, neg_zero=False,
+            )
+            # An all-identity column block, so skip mode elides tiles.
+            X[d:2 * d] = s.zero
+            ops.append(X)
+
+        def launch(X, skip):
+            counters = {}
+            kernel = (
+                bmv.bmv_bin_full_full if X.ndim == 1
+                else bmv.bmv_bin_full_full_multi
+            )
+            y = kernel(A, X, s, skip=skip, counters=counters)
+            return y, counters
+
+        fast = [launch(X, skip) for X in ops for skip in (False, True)]
+        assert A.plan().stats()["set_bits_cached"] == 1.0
+        monkeypatch.setattr(bmv, "_set_bit_exact", lambda s, x: False)
+        slow = [launch(X, skip) for X in ops for skip in (False, True)]
+        for (y1, c1), (y2, c2) in zip(fast, slow):
+            assert bitwise_equal(y1, y2)
+            assert c1 == c2
+        assert any(c["active_tiles"] < c["tile_visits"] for _, c in slow)
+
+    def test_engine_auto_mode_unchanged(self, monkeypatch):
+        """skip_inactive="auto": the set-bit path leaves answers, the
+        auto policy's dense rounds and the modeled stats untouched."""
+        from dataclasses import asdict
+
+        from repro.algorithms import (
+            connected_components,
+            multi_source_sssp,
+            sssp,
+        )
+
+        g = diagonal_pattern(300, bandwidth=3, seed=4)
+        gs = g.symmetrized()
+
+        def runs():
+            out = []
+            for d in (8, 32):
+                for alg, graph, arg in (
+                    (sssp, g, (0,)),
+                    (multi_source_sssp, g, (np.arange(0, 300, 7),)),
+                    (connected_components, gs, ()),
+                ):
+                    e = BitEngine(graph, tile_dim=d, skip_inactive="auto")
+                    res, rep = alg(e, *arg)
+                    out.append((
+                        res, asdict(rep.kernel_stats),
+                        asdict(rep.algorithm_stats), e.auto_dense_rounds,
+                    ))
+            return out
+
+        fast = runs()
+        monkeypatch.setattr(bmv, "_set_bit_exact", lambda s, x: False)
+        slow = runs()
+        assert sum(r[3] for r in fast) > 0
+        for a, b in zip(fast, slow):
+            assert bitwise_equal(np.asarray(a[0]), np.asarray(b[0]))
+            assert a[1:] == b[1:]
 
 
 # ----------------------------------------------------------------------
