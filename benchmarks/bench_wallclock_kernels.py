@@ -16,7 +16,9 @@ median as machine-readable ``BENCH_wallclock_kernels.json`` rows.
 The ``*_min_plus`` cases time SSSP's relaxation kernels on
 ``hybrid_pattern(2048, seed=4)`` at B2SR-32 (the engine's transposed
 operand, 226 tiles) with a half-unreached distance operand — the
-set-bit path of the min/max semirings.
+set-bit path of the min/max semirings.  The ``*_arithmetic`` cases time
+PageRank's tile sweep (the fused masked gather) on the same matrix, and
+``bmv_bin_bin_bin_masked`` BFS's masked boolean pull at ``k = 1``.
 """
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.kernels import planless
 from repro.kernels.bmm import bmm_bin_bin_sum
 from repro.kernels.bmv import (
     bmv_bin_bin_bin,
+    bmv_bin_bin_bin_masked,
     bmv_bin_bin_full,
     bmv_bin_full_full,
     bmv_bin_full_full_multi,
@@ -108,6 +111,46 @@ def test_wallclock_bmv_bin_full_full_multi_min_plus(
     emit_benchmark(
         json_report, benchmark, "bmv_bin_full_full_multi_min_plus",
         graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=k,
+    )
+
+
+def test_wallclock_bmv_bin_full_full_arithmetic(
+    benchmark, hybrid, json_report
+):
+    g, A = hybrid
+    x = np.random.default_rng(0).random(g.n).astype(np.float32)
+    bmv_bin_full_full(A, x, ARITHMETIC)
+    benchmark(bmv_bin_full_full, A, x, ARITHMETIC)
+    emit_benchmark(
+        json_report, benchmark, "bmv_bin_full_full_arithmetic",
+        graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=1,
+    )
+
+
+@pytest.mark.parametrize("k", (1, 8, 32))
+def test_wallclock_bmv_bin_full_full_multi_arithmetic(
+    benchmark, hybrid, json_report, k
+):
+    g, A = hybrid
+    X = np.random.default_rng(k).random((g.n, k)).astype(np.float32)
+    bmv_bin_full_full_multi(A, X, ARITHMETIC)
+    benchmark(bmv_bin_full_full_multi, A, X, ARITHMETIC)
+    emit_benchmark(
+        json_report, benchmark, "bmv_bin_full_full_multi_arithmetic",
+        graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=k,
+    )
+
+
+def test_wallclock_bmv_bin_bin_bin_masked(benchmark, hybrid, json_report):
+    """One BFS pull: a 30% frontier, half the vertices visited."""
+    g, A = hybrid
+    rng = np.random.default_rng(0)
+    xw = pack_bitvector(rng.random(g.n) < 0.3, 32)
+    visited = rng.random(g.n) < 0.5
+    benchmark(bmv_bin_bin_bin_masked, A, xw, visited, complement=True)
+    emit_benchmark(
+        json_report, benchmark, "bmv_bin_bin_bin_masked",
+        graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=1,
     )
 
 

@@ -99,10 +99,18 @@ def ballot_sync(pred: np.ndarray, width: int = WARP_SIZE) -> np.ndarray | int:
             f"last axis must have length {width} (one predicate per lane), "
             f"got shape {arr.shape}"
         )
-    bits = (arr != 0).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
-    word = (bits * weights).sum(axis=-1, dtype=np.uint64)
-    word = word.astype(dtype_for_width(width))
+    if arr.dtype != np.bool_:
+        arr = arr != 0
+    # Lane N -> bit N of the little-endian bytes, then one word per row.
+    dt = dtype_for_width(width)
+    packed = np.packbits(arr, axis=-1, bitorder="little")
+    pad = dt.itemsize - packed.shape[-1]
+    if pad:
+        packed = np.concatenate(
+            [packed, np.zeros(packed.shape[:-1] + (pad,), np.uint8)], axis=-1
+        )
+    word = packed.view(dt.newbyteorder("<")).reshape(arr.shape[:-1])
+    word = word.astype(dt, copy=False)
     if word.ndim == 0:
         return int(word)
     return word

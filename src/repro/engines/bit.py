@@ -149,7 +149,7 @@ class BitEngine(Engine):
 
         A registered serving graph calls this once so its first query
         already launches against warm chunk tables, gather indices and
-        cached bit masks (:meth:`repro.kernels.plan.SweepPlan.warm`).
+        masked-gather indices (:meth:`repro.kernels.plan.SweepPlan.warm`).
         """
         self._At.plan().warm(tuple(widths))
 

@@ -49,8 +49,10 @@ def read_matrix_market(path: str | Path | io.TextIOBase) -> CSRMatrix:
         raise ValueError(f"unsupported symmetry {symmetry!r}")
 
     line = path.readline()
+    lineno = 2
     while line.startswith("%"):
         line = path.readline()
+        lineno += 1
     dims = line.split()
     if len(dims) != 3:
         raise ValueError(f"malformed size line: {line!r}")
@@ -59,16 +61,32 @@ def read_matrix_market(path: str | Path | io.TextIOBase) -> CSRMatrix:
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.ones(nnz, dtype=np.float32)
+    want = 2 if field == "pattern" else 3
     k = 0
-    for line in path:
+    for lineno, line in enumerate(path, start=lineno + 1):
         line = line.strip()
         if not line or line.startswith("%"):
             continue
         toks = line.split()
-        rows[k] = int(toks[0]) - 1
-        cols[k] = int(toks[1]) - 1
-        if field != "pattern" and len(toks) > 2:
-            vals[k] = float(toks[2])
+        if k == nnz:
+            raise ValueError(
+                f"line {lineno}: entry beyond the header's {nnz} entries: "
+                f"{line!r}"
+            )
+        if len(toks) < want:
+            raise ValueError(
+                f"line {lineno}: a {field} entry needs {want} tokens, got "
+                f"{line!r}"
+            )
+        try:
+            rows[k] = int(toks[0]) - 1
+            cols[k] = int(toks[1]) - 1
+            if field != "pattern":
+                vals[k] = float(toks[2])
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: malformed entry {line!r}"
+            ) from None
         k += 1
     if k != nnz:
         raise ValueError(f"expected {nnz} entries, found {k}")

@@ -12,7 +12,7 @@
 * :mod:`repro.kernels.simt` — the paper's Listings 1–2 ported to the SIMT
   simulator for validation;
 * :mod:`repro.kernels.plan` — memoized sweep plans (launch-invariant
-  chunk tables, gather indices, cached bit masks) every BMV/BMM launch
+  chunk tables, gather indices, masked-gather indices) every BMV/BMM launch
   executes against, plus the exact active-tile skip helpers;
 * :mod:`repro.kernels.planless` — the seed per-launch kernels, kept as
   the bitwise reference and cold-path baseline.

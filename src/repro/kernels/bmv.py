@@ -1,31 +1,27 @@
 """Binarized Matrix-Vector (BMV) kernel schemes — paper Table II, §IV.
 
-Single-vector schemes, named after their operand precisions
-(matrix / input vector / output vector):
+The three schemes are named after their operand precisions (matrix /
+input / output).  Each has **one** sweep implementation, the batched
+form: ``k`` vectors are served with one sweep over the stored tiles —
+the tile index and payloads are read once and every tile is combined
+with all ``k`` packed words / value segments of its column block
+(multi-source BFS, batched landmark BFS, batched PageRank, SSSP):
 
-=============================  ======  =======  =======
-scheme                         A       x        y
-=============================  ======  =======  =======
-``bmv_bin_bin_bin``            1-bit   1-bit    1-bit
-``bmv_bin_bin_full``           1-bit   1-bit    32-bit
-``bmv_bin_full_full``          1-bit   32-bit   32-bit
-(+ ``_masked`` variants)
-=============================  ======  =======  =======
+=============================  ======  ==========  ==========
+scheme                         A       X (n × k)   Y (n × k)
+=============================  ======  ==========  ==========
+``bmv_bin_bin_bin_multi``      1-bit   1-bit       1-bit
+``bmv_bin_bin_full_multi``     1-bit   1-bit       32-bit
+``bmv_bin_full_full_multi``    1-bit   32-bit      32-bit
+=============================  ======  ==========  ==========
 
-Batched multi-vector schemes (the ``_multi`` suffix) serve ``k`` vectors
-with **one sweep over the stored tiles** — the tile index and payloads are
-read once and every tile is combined with all ``k`` packed words / value
-segments of its column block (multi-source BFS, batched landmark BFS,
-batched PageRank):
-
-===================================  ======  ==========  ==========
-scheme                               A       X (n × k)   Y (n × k)
-===================================  ======  ==========  ==========
-``bmv_bin_bin_bin_multi``            1-bit   1-bit       1-bit
-``bmv_bin_bin_full_multi``           1-bit   1-bit       32-bit
-``bmv_bin_full_full_multi``          1-bit   32-bit      32-bit
-(+ ``_masked`` for the 1-bit out)
-===================================  ======  ==========  ==========
+The single-vector names without the ``_multi`` suffix
+(``bmv_bin_bin_bin``, ``bmv_bin_bin_full``, ``bmv_bin_full_full``) are
+the ``k = 1`` forms: they validate a vector operand, run the scheme's
+sweep on it as an ``(n, 1)`` column and return column 0, so a
+single-vector launch is bitwise column ``j`` of a batched one by
+construction.  ``_masked`` variants apply an output mask (one per vector
+for ``bmv_bin_bin_bin_multi_masked``).
 
 Packed multi operands come from :func:`repro.bitops.packing.pack_bitmatrix`
 (word row ``w``, column ``j`` holds bits ``w*d … w*d+d-1`` of vector ``j``).
@@ -53,41 +49,46 @@ the stored tiles are already sorted by output tile row and ``indptr``
 delimits each row's run.  Every scheme therefore computes a per-tile
 contribution array (a packed word, a popcount row, or a semiring-reduced
 value row) and folds contributions into the output with one
-``ufunc.reduceat`` over the ``indptr`` boundaries
-(:func:`repro.bitops.segreduce.segment_reduce`) — a buffered, contiguous,
-word-parallel pass, exactly the access pattern Listing 1 exploits on the
-GPU.  Masking is applied right before the output store — *not* via early
-exit, which the paper rejects because of warp divergence (§V BFS).
+``ufunc.reduceat`` over each tile chunk's row runs (the plan's chunk
+tables) — a buffered, contiguous, word-parallel pass, exactly the access
+pattern Listing 1 exploits on the GPU.  Masking is applied right before
+the output store — *not* via early exit, which the paper rejects because
+of warp divergence (§V BFS).
 
 **Sweep plans.**  Every scheme executes against the matrix's memoized
 :class:`repro.kernels.plan.SweepPlan`: the tile-row expansion, chunk
-tables (boundaries, run starts, output rows), value-gather indices,
-zero-padded operand scratch and — under a byte budget — the unpacked
-per-tile bit masks of the semiring path are computed once per matrix
-instead of once per launch.  Pass ``plan=`` to supply a custom plan
-(e.g. a different bits budget); results are bitwise independent of plan
-warmth.
+tables (boundaries, run starts, output rows), value-gather indices and
+zero-padded operand scratch are computed once per matrix instead of once
+per launch.  Pass ``plan=`` to supply a custom plan (e.g. a different
+bits budget); results are bitwise independent of plan warmth.
+
+**Semiring tile sweep.**  The tile sweep of ``bmv_bin_full_full*`` has
+one index: the plan's fused masked gather
+(:meth:`~repro.kernels.plan.SweepPlan.masked_gather`, cached under the
+bits budget), which points each set bit of a tile at its operand value
+and each unset bit at an identity sentinel slot.  Every batch column
+gathers its ``(m, d, d)`` block through it and reduces the last axis, so
+each column's float summation tree is the single-vector one.
 
 **Active-tile skip (``skip=True``).**  The sweep consults the input
 operand and elides stored tiles whose input word / value segment is the
 add identity — the frontier-sparsity the serving BFS/SSSP rounds have in
-abundance.  Exactness is structural, not approximate: OR folds drop
-inactive tiles outright (bitwise OR is exact and order-independent),
-while float add/min/max folds keep their fold shape and pre-fill the
-elided slots with the identity the dense sweep would have computed
-(compute elision) — see :mod:`repro.kernels.plan` for the argument.
+abundance.  Exactness is structural, not approximate: every fold keeps
+its shape and the elided slots are pre-filled with the identity the
+dense sweep would have computed (compute elision) — see
+:mod:`repro.kernels.plan` for the argument.
 Every kernel returns bitwise-identical results with skip on or off;
 ``counters=`` receives ``active_tiles`` / ``tile_visits`` so the cost
 model can charge only the work actually done.
 
 **Set-bit execution.**  The tile sweep of the semiring schemes expands
-every stored tile to a ``d × d`` (× ``k``) masked gather, although a
+every stored tile to a ``d × d`` masked gather per column, although a
 binary tile only needs its set bits.  When the add monoid is
 ``np.minimum`` or ``np.maximum`` (min-plus SSSP, min-second FastSV CC,
-max-times), :func:`bmv_bin_full_full` and :func:`bmv_bin_full_full_multi`
-instead gather ``mult(1, x)`` at one entry per stored bit, fold each
-output row's entries with one ``ufunc.reduceat`` and scatter the result
-into the identity-initialised output — the plan's
+max-times), the semiring scheme instead gathers ``mult(1, x)`` at one
+entry per stored bit, folds each output row's entries with one
+``ufunc.reduceat`` and scatters the result into the identity-initialised
+output — the plan's
 :class:`~repro.kernels.plan.SetBitIndex`, built on the first such launch.
 A min/max returns one of its operands, so fold order cannot change the
 value and the answer is bit-identical to the tile sweep — except for
@@ -100,7 +101,8 @@ fold order is the contract.  The kernels report the tile sweep's
 is independent of the host strategy.
 
 The only Python-level loops are the tile-chunk loops bounding dense-unpack
-scratch (``_CHUNK_TILES`` elements across all ``k`` columns).
+scratch (``_CHUNK_TILES`` elements per plane) and, in the semiring tile
+sweep, the per-column gathers of each plane.
 """
 
 from __future__ import annotations
@@ -113,7 +115,6 @@ from repro.bitops.packing import (
     pack_bitvector,
     plane_slices,
 )
-from repro.bitops.segreduce import run_starts, segment_reduce
 from repro.formats.b2sr import B2SRMatrix
 from repro.kernels.plan import (
     SweepPlan,
@@ -242,6 +243,21 @@ def _resolve_plan(A: B2SRMatrix, plan: SweepPlan | None) -> SweepPlan:
     return plan
 
 
+def _active_subset(
+    act: np.ndarray | None, cols: np.ndarray, counters: dict | None
+) -> np.ndarray | None:
+    """The tiles of a chunk one plane must compute, recording the skip
+    accounting: ``None`` for all of them (skip off — ``act is None`` — or
+    every tile active), else the index array of the active tiles, which
+    may be empty."""
+    if act is None:
+        note_active(counters, cols.size, cols.size)
+        return None
+    sub = np.nonzero(act[cols])[0]
+    note_active(counters, sub.size, cols.size)
+    return None if sub.size == cols.size else sub
+
+
 # ---------------------------------------------------------------------------
 # Binary output
 # ---------------------------------------------------------------------------
@@ -253,7 +269,8 @@ def bmv_bin_bin_bin(
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
-    """Boolean SpMV: ``y = A ∨.∧ x`` with all operands bit-packed.
+    """Boolean SpMV: ``y = A ∨.∧ x`` with all operands bit-packed — the
+    ``k = 1`` column of :func:`bmv_bin_bin_bin_multi`.
 
     Parameters
     ----------
@@ -265,43 +282,15 @@ def bmv_bin_bin_bin(
     plan, skip, counters:
         Sweep plan override, active-tile skip mode and skip accounting
         (module docstring).  With ``skip=True`` tiles whose vector word
-        is zero are dropped from the OR fold — bitwise exact.
+        is zero are not computed; they contribute the OR identity 0 —
+        bitwise exact.
 
     Returns
     -------
     Packed output words (``n_tile_rows`` words of ``tile_dim`` bits).
     """
     xw = _check_vec_words(A, x_words)
-    if A.n_tiles == 0:
-        note_active(counters, 0, 0)
-        return np.zeros(A.n_tile_rows, dtype=A.tiles.dtype)
-    d = A.tile_dim
-    if skip:
-        active = word_activity(xw)[A.indices]
-        sub = np.nonzero(active)[0]
-        note_active(counters, sub.size, A.n_tiles)
-        out = np.zeros(A.n_tile_rows, dtype=A.tiles.dtype)
-        if sub.size:
-            # OR is exact and order-independent: fold only the surviving
-            # tiles' runs (rows with no survivors keep the identity 0).
-            hits = (A.tiles[sub] & xw[A.indices[sub], None]) != 0
-            contrib = ballot_sync(hits, width=d)
-            trows = A.tile_row_of()[sub]
-            starts = run_starts(trows)
-            out[trows[starts]] = np.bitwise_or.reduceat(
-                contrib, starts, axis=0
-            )
-        return out
-    note_active(counters, A.n_tiles, A.n_tiles)
-    # Per-tile contribution word: bit r set iff tile row r overlaps the
-    # tile's vector word; OR-fold the CSR-sorted tile runs into one output
-    # word per tile row.  Rows past ``nrows`` are structurally empty tiles
-    # rows, so padding bits stay zero.
-    hits = (A.tiles & xw[A.indices, None]) != 0
-    contrib = ballot_sync(hits, width=d)
-    return segment_reduce(
-        np.bitwise_or, contrib, A.indptr, identity=0, dtype=A.tiles.dtype
-    )
+    return _bmv_bin_bin_bin_core(A, xw[:, None], plan, skip, counters)[:, 0]
 
 
 def bmv_bin_bin_bin_masked(
@@ -349,10 +338,10 @@ def bmv_bin_bin_bin_multi(
     elided *per plane* when all its plane words are zero.
     """
     xw = _check_mat_words(A, x_words)
-    return _bmv_bin_bin_bin_multi_core(A, xw, plan, skip, counters)
+    return _bmv_bin_bin_bin_core(A, xw, plan, skip, counters)
 
 
-def _bmv_bin_bin_bin_multi_core(
+def _bmv_bin_bin_bin_core(
     A: B2SRMatrix,
     xw: np.ndarray,
     plan: SweepPlan | None,
@@ -367,42 +356,27 @@ def _bmv_bin_bin_bin_multi_core(
     d = A.tile_dim
     pl = _resolve_plan(A, plan)
     stripes = plane_slices(k, d)
-    act_plane = (
-        [word_activity(xw[:, sl]) for sl in stripes] if skip else None
-    )
+    acts = [word_activity(xw[:, sl]) if skip else None for sl in stripes]
     for ch in pl.chunks(min(k, d), row_aligned=False):
         tiles = A.tiles[ch.lo:ch.hi]
         cols = A.indices[ch.lo:ch.hi]
         # The chunk's tiles stay resident while every word plane combines
         # against them — one tile sweep however wide the batch.
-        for p, sl in enumerate(stripes):
-            if skip:
-                active = act_plane[p][cols]
-                sub = np.nonzero(active)[0]
-                note_active(counters, sub.size, ch.size)
-                if sub.size == 0:
-                    continue
-                if sub.size < ch.size:
-                    hits = (
-                        tiles[sub][:, :, None]
-                        & xw[:, sl][cols[sub], None, :]
-                    ) != 0
-                    contrib = ballot_sync(
-                        np.swapaxes(hits, 1, 2), width=d
-                    )
-                    trows = ch.trows[sub]
-                    starts = run_starts(trows)
-                    out[trows[starts], sl] |= np.bitwise_or.reduceat(
-                        contrib, starts, axis=0
-                    )
-                    continue
+        for sl, act in zip(stripes, acts):
+            sub = _active_subset(act, cols, counters)
+            if sub is None:
+                # (m, d, kp): tile row r of tile t against vector j's word.
+                hits = (tiles[:, :, None] & xw[:, sl][cols, None, :]) != 0
+                contrib = ballot_sync(np.swapaxes(hits, 1, 2), width=d)
+            elif sub.size == 0:
+                continue
             else:
-                note_active(counters, ch.size, ch.size)
-            # (m, d, kp): tile row r of tile t against vector j's word.
-            hits = (tiles[:, :, None] & xw[:, sl][cols, None, :]) != 0
-            contrib = ballot_sync(
-                np.swapaxes(hits, 1, 2), width=d
-            )  # (m, kp)
+                # Elided tiles contribute the OR identity 0.
+                hits = (
+                    tiles[sub][:, :, None] & xw[:, sl][cols[sub], None, :]
+                ) != 0
+                contrib = np.zeros((ch.size, sl.stop - sl.start), out.dtype)
+                contrib[sub] = ballot_sync(np.swapaxes(hits, 1, 2), width=d)
             out[ch.rows, sl] |= np.bitwise_or.reduceat(
                 contrib, ch.starts, axis=0
             )
@@ -426,7 +400,7 @@ def bmv_bin_bin_bin_multi_masked(
     """
     xw = _check_mat_words(A, x_words)
     valid = _resolve_mask_matrix(masks, A.nrows, xw.shape[1], complement)
-    yw = _bmv_bin_bin_bin_multi_core(A, xw, plan, skip, counters)
+    yw = _bmv_bin_bin_bin_core(A, xw, plan, skip, counters)
     return yw & pack_bitmatrix(valid, A.tile_dim)
 
 
@@ -441,37 +415,18 @@ def bmv_bin_bin_full(
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
-    """Counting SpMV: ``y_i = popc(A_i & x)`` — Listing 1 verbatim.
+    """Counting SpMV: ``y_i = popc(A_i & x)`` — Listing 1 verbatim, the
+    ``k = 1`` column of :func:`bmv_bin_bin_full_multi`.
 
     Returns a float32 vector of per-row overlap counts (the bit-dot-product
     of each matrix row with the binarized vector).  With ``skip=True`` the
     popcount work runs only on tiles whose vector word is non-zero; the
     elided slots stay exactly +0.0 — the value the dense sweep computes —
-    and the fold shape is unchanged, so the float sums are bit-identical
-    (compute elision, :mod:`repro.kernels.plan`).
+    so the float sums are bit-identical (compute elision,
+    :mod:`repro.kernels.plan`).
     """
     xw = _check_vec_words(A, x_words)
-    if A.n_tiles == 0:
-        note_active(counters, 0, 0)
-        return np.zeros(A.nrows, dtype=np.float32)
-    if skip:
-        active = word_activity(xw)[A.indices]
-        sub = np.nonzero(active)[0]
-        note_active(counters, sub.size, A.n_tiles)
-        counts = np.zeros((A.n_tiles, A.tile_dim), dtype=np.float32)
-        if sub.size:
-            counts[sub] = np.bitwise_count(
-                A.tiles[sub] & xw[A.indices[sub], None]
-            ).astype(np.float32)
-    else:
-        note_active(counters, A.n_tiles, A.n_tiles)
-        counts = np.bitwise_count(A.tiles & xw[A.indices, None]).astype(
-            np.float32
-        )
-    y = segment_reduce(
-        np.add, counts, A.indptr, identity=0.0, dtype=np.float32
-    )
-    return y.reshape(-1)[: A.nrows]
+    return _bmv_bin_bin_full_core(A, xw[:, None], plan, skip, counters)[:, 0]
 
 
 def bmv_bin_bin_full_masked(
@@ -506,6 +461,16 @@ def bmv_bin_bin_full_multi(
     the tile word width stripe across word planes over each resident tile
     chunk (module docstring)."""
     xw = _check_mat_words(A, x_words)
+    return _bmv_bin_bin_full_core(A, xw, plan, skip, counters)
+
+
+def _bmv_bin_bin_full_core(
+    A: B2SRMatrix,
+    xw: np.ndarray,
+    plan: SweepPlan | None,
+    skip: bool,
+    counters: dict | None,
+) -> np.ndarray:
     k = xw.shape[1]
     d = A.tile_dim
     y = np.zeros((A.n_tile_rows, d, k), dtype=np.float32)
@@ -514,39 +479,28 @@ def bmv_bin_bin_full_multi(
         return y.reshape(-1, k)[: A.nrows]
     pl = _resolve_plan(A, plan)
     stripes = plane_slices(k, d)
-    act_plane = (
-        [word_activity(xw[:, sl]) for sl in stripes] if skip else None
-    )
+    acts = [word_activity(xw[:, sl]) if skip else None for sl in stripes]
     for ch in pl.chunks(min(k, d), row_aligned=False):
         tiles = A.tiles[ch.lo:ch.hi]
         cols = A.indices[ch.lo:ch.hi]
-        for p, sl in enumerate(stripes):
-            if skip:
-                active = act_plane[p][cols]
-                sub = np.nonzero(active)[0]
-                note_active(counters, sub.size, ch.size)
-                if sub.size == 0:
-                    # All contributions are exactly +0.0; the counts are
-                    # non-negative, so y += 0.0 is the identity bit for
-                    # bit and the whole update can be dropped.
-                    continue
-                if sub.size < ch.size:
-                    counts = np.zeros(
-                        (ch.size, d, sl.stop - sl.start), dtype=np.float32
-                    )
-                    counts[sub] = np.bitwise_count(
-                        tiles[sub][:, :, None]
-                        & xw[:, sl][cols[sub], None, :]
-                    ).astype(np.float32)
-                    y[ch.rows, :, sl] += np.add.reduceat(
-                        counts, ch.starts, axis=0
-                    )
-                    continue
+        for sl, act in zip(stripes, acts):
+            sub = _active_subset(act, cols, counters)
+            if sub is None:
+                counts = np.bitwise_count(
+                    tiles[:, :, None] & xw[:, sl][cols, None, :]
+                ).astype(np.float32)  # (m, d, kp)
+            elif sub.size == 0:
+                # All contributions are exactly +0.0; the counts are
+                # non-negative, so y += 0.0 is the identity bit for bit
+                # and the whole update can be dropped.
+                continue
             else:
-                note_active(counters, ch.size, ch.size)
-            counts = np.bitwise_count(
-                tiles[:, :, None] & xw[:, sl][cols, None, :]
-            ).astype(np.float32)  # (m, d, kp)
+                counts = np.zeros(
+                    (ch.size, d, sl.stop - sl.start), dtype=np.float32
+                )
+                counts[sub] = np.bitwise_count(
+                    tiles[sub][:, :, None] & xw[:, sl][cols[sub], None, :]
+                )
             y[ch.rows, :, sl] += np.add.reduceat(counts, ch.starts, axis=0)
     return y.reshape(-1, k)[: A.nrows]
 
@@ -576,41 +530,50 @@ def _set_bit_sweep(
     semiring: Semiring,
     xv: np.ndarray,
     y: np.ndarray,
-    planes: list[slice],
-    skip: bool,
+    acts: list[np.ndarray | None],
     counters: dict | None,
 ) -> None:
     """Set-bit execution (module docstring): gather ``mult(1, x)`` at
     every stored bit, fold each row's run with one ``reduceat`` and
     scatter into ``y``, the identity-initialised output viewed as
-    ``(n_tile_rows·d[, k])``.
+    ``(n_tile_rows·d, k)``.
 
-    ``counters`` receive exactly what the tile sweep over ``planes``
-    would report, so the modeled cost does not depend on the host
-    strategy.
+    ``counters`` receive exactly what the tile sweep over the planes'
+    column activities ``acts`` (``None`` without skip) would report, so
+    the modeled cost does not depend on the host strategy.
     """
-    visits = A.n_tiles * len(planes)
-    if skip:
-        k = xv.shape[1] if xv.ndim == 2 else None
-        xpad = pl.value_scratch(xv.dtype, k)
-        xpad[: A.ncols] = xv
-        active = sum(
-            int(np.count_nonzero(
-                value_activity(xpad[..., sl], A.tile_dim, semiring.zero)[
-                    A.indices
-                ]
-            ))
-            for sl in planes
-        )
-        note_active(counters, active, visits)
-    else:
+    visits = A.n_tiles * len(acts)
+    if acts[0] is None:
         note_active(counters, visits, visits)
+    else:
+        active = sum(int(np.count_nonzero(act[A.indices])) for act in acts)
+        note_active(counters, active, visits)
     index = pl.set_bits
     if index.starts.size:
         # ``take`` rather than fancy indexing: same values, and several
         # times faster for the 2-D batch operand.
         vals = np.take(semiring.mult_matrix_one(xv), index.gather, axis=0)
         y[index.rows] = semiring.add.reduceat(vals, index.starts, axis=0)
+
+
+def _tile_values(
+    semiring: Semiring, src: np.ndarray, G: np.ndarray
+) -> np.ndarray:
+    """Per-tile contribution rows of one value plane, ``(m, d, kp)``.
+
+    ``src`` holds the plane's ``kp`` rows of the sentinel buffer
+    (:meth:`~repro.kernels.plan.SweepPlan.sentinel_scratch`) and ``G``
+    the chunk's ``(m, d, d)`` fused masked-gather index
+    (:meth:`~repro.kernels.plan.SweepPlan.masked_gather`).  Every batch
+    column gathers and reduces one C-contiguous ``(m, d, d)`` block over
+    its last axis, exactly as at ``k = 1``, so each column's summation
+    tree (and every float bit) is that of the single-vector launch.
+    """
+    vals = np.empty((src.shape[0],) + G.shape[:2], dtype=src.dtype)
+    for j, row in enumerate(src):
+        # Fancy indexing a 1-D row beats ``np.take`` on these indices.
+        vals[j] = semiring.add_reduce(row[G], axis=-1)
+    return vals.transpose(1, 2, 0)
 
 
 def bmv_bin_full_full(
@@ -622,7 +585,8 @@ def bmv_bin_full_full(
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
-    """Semiring SpMV with a full-precision multiplier vector (§IV Fig 4).
+    """Semiring SpMV with a full-precision multiplier vector (§IV Fig 4) —
+    the ``k = 1`` column of :func:`bmv_bin_full_full_multi`.
 
     ``y_i = ⊕_{j : A_ij = 1} mult(1, x_j)`` where ⊕/mult come from the
     semiring: arithmetic gives the weighted sums PageRank needs, min-plus
@@ -633,13 +597,13 @@ def bmv_bin_full_full(
     integer payloads through 2⁵³ — FastSV's label pulls); every other
     dtype computes in the native ``float32``.
 
-    The sweep runs against the matrix's plan: chunk tables, gather
-    indices, operand scratch and (within budget) the unpacked bit masks
-    are reused across launches.  With ``skip=True`` tiles whose value
-    segment is bit-identical to the semiring identity are compute-elided
-    — their contribution slots are pre-filled with the identity the
-    dense sweep would produce, so the fold is bit-for-bit unchanged
-    (exact for every semiring, SSSP's +∞-heavy early rounds included).
+    The sweep runs against the matrix's plan: chunk tables, the fused
+    masked-gather index (within budget) and operand scratch are reused
+    across launches.  With ``skip=True`` tiles whose value segment is
+    bit-identical to the semiring identity are compute-elided — their
+    contribution slots are pre-filled with the identity the dense sweep
+    would produce, so the fold is bit-for-bit unchanged (exact for every
+    semiring, SSSP's +∞-heavy early rounds included).
 
     Min/max semirings on NaN- and ``-0.0``-free operands run the
     set-bit path instead, with the same result bits and counters
@@ -651,65 +615,9 @@ def bmv_bin_full_full(
         raise ValueError(
             f"vector must have shape ({A.ncols},), got {xv.shape}"
         )
-    d = A.tile_dim
-    y = semiring.empty_output(A.n_tile_rows * d, dtype=dt).reshape(
-        A.n_tile_rows, d
-    )
-    if A.n_tiles == 0:
-        note_active(counters, 0, 0)
-        return y.reshape(-1)[: A.nrows]
-
-    pl = _resolve_plan(A, plan)
-    if _set_bit_exact(semiring, xv):
-        _set_bit_sweep(
-            A, pl, semiring, xv, y.reshape(-1), [slice(None)], skip, counters
-        )
-        return y.reshape(-1)[: A.nrows]
-    # Pad x to whole tiles; padded entries are never selected because the
-    # corresponding matrix bits are structurally absent.
-    xpad = pl.value_scratch(dt)
-    xpad[: A.ncols] = xv
-    zero = dt.type(semiring.zero)
-    col_act = value_activity(xpad, d, semiring.zero) if skip else None
-    # The multiplied operand plus the identity sentinel the masked
-    # gather points elided cells at.  ``ext[G]`` is element-for-element
-    # the array the seed builds via broadcast + np.where (same shape,
-    # contiguity and values), so the reduction below is bit-identical —
-    # mult is elementwise, hence applying it before the gather instead
-    # of after changes nothing.
-    ext = pl.mult_scratch(dt)
-    ext[:-1] = semiring.mult_matrix_one(xpad)
-    ext[-1] = zero
-
-    for ch in pl.chunks(1, row_aligned=True):
-        if skip:
-            active = col_act[A.indices[ch.lo:ch.hi]]
-            sub = np.nonzero(active)[0]
-            note_active(counters, sub.size, ch.size)
-            if sub.size == 0:
-                # Every contribution is the add identity; folding it into
-                # the identity-initialised output is a no-op for every
-                # semiring (row-aligned chunks touch each row once).
-                continue
-            if sub.size < ch.size:
-                vals = np.full((ch.size, d), zero, dtype=dt)
-                filled = ext[pl.masked_gather(ch, sub)]  # (ms, d, d)
-                vals[sub] = semiring.add_reduce(filled, axis=-1).astype(
-                    dt, copy=False
-                )
-                y[ch.rows] = semiring.add(
-                    y[ch.rows], pl.fold_runs(semiring, vals, ch)
-                )
-                continue
-        else:
-            note_active(counters, ch.size, ch.size)
-        filled = ext[pl.masked_gather(ch)]  # (m, d, d)
-        vals = semiring.add_reduce(filled, axis=-1).astype(dt, copy=False)
-        # Chunks are row-aligned, so each output row is folded exactly once.
-        y[ch.rows] = semiring.add(
-            y[ch.rows], pl.fold_runs(semiring, vals, ch)
-        )
-    return y.reshape(-1)[: A.nrows]
+    return _bmv_bin_full_full_core(
+        A, xv[:, None], semiring, plan, skip, counters
+    )[:, 0]
 
 
 def bmv_bin_full_full_masked(
@@ -760,6 +668,18 @@ def bmv_bin_full_full_multi(
         raise ValueError(
             f"vectors must have shape ({A.ncols}, k), got {xv.shape}"
         )
+    return _bmv_bin_full_full_core(A, xv, semiring, plan, skip, counters)
+
+
+def _bmv_bin_full_full_core(
+    A: B2SRMatrix,
+    xv: np.ndarray,
+    semiring: Semiring,
+    plan: SweepPlan | None,
+    skip: bool,
+    counters: dict | None,
+) -> np.ndarray:
+    dt = xv.dtype
     k = xv.shape[1]
     d = A.tile_dim
     y = semiring.empty_output(A.n_tile_rows * d * k, dtype=dt).reshape(
@@ -771,69 +691,50 @@ def bmv_bin_full_full_multi(
 
     pl = _resolve_plan(A, plan)
     stripes = plane_slices(k, d)
+    acts: list[np.ndarray | None] = [None] * len(stripes)
+    if skip:
+        # Pad x to whole tiles for the per-block activity test.
+        xpad = pl.value_scratch(dt, k)
+        xpad[: A.ncols] = xv
+        acts = [
+            value_activity(xpad[:, sl], d, semiring.zero) for sl in stripes
+        ]
     if _set_bit_exact(semiring, xv):
-        _set_bit_sweep(
-            A, pl, semiring, xv, y.reshape(-1, k), stripes, skip, counters
-        )
+        _set_bit_sweep(A, pl, semiring, xv, y.reshape(-1, k), acts, counters)
         return y.reshape(-1, k)[: A.nrows]
-    xpad = pl.value_scratch(dt, k)
-    xpad[: A.ncols] = xv
-    gather = pl.gather_index
     zero = dt.type(semiring.zero)
-    act_plane = (
-        [value_activity(xpad[:, sl], d, semiring.zero) for sl in stripes]
-        if skip
-        else None
-    )
-
+    # Row j holds mult(1, x[:, j]) and then the identity sentinel that
+    # the fused masked gather points unset bits at: ``ext[j][G]`` is
+    # element for element the seed's ``np.where(bits, mult(seg), zero)``
+    # (mult is elementwise, so applying it before the gather changes
+    # nothing).  The pad slots between ``ncols`` and the sentinel are
+    # never gathered: their matrix bits are structurally absent.
+    ext = pl.sentinel_scratch(dt, k)
+    ext[:, : A.ncols] = semiring.mult_matrix_one(xv).T
+    ext[:, -1] = zero
     for ch in pl.chunks(min(k, d), row_aligned=True):
-        idx = gather[ch.lo:ch.hi]
         cols = A.indices[ch.lo:ch.hi]
-        bits_full = None
-        for p, sl in enumerate(stripes):
-            if skip:
-                active = act_plane[p][cols]
-                sub = np.nonzero(active)[0]
-                note_active(counters, sub.size, ch.size)
-                if sub.size == 0:
-                    continue
-                if sub.size < ch.size:
-                    vals = np.full(
-                        (ch.size, d, sl.stop - sl.start), zero, dtype=dt
-                    )
-                    bits = pl.bits(ch, sub)
-                    seg = xpad[:, sl][idx[sub]]  # (ms, d, kp)
-                    m = semiring.mult_matrix_one(seg)
-                    mt = np.swapaxes(m, 1, 2)  # (ms, kp, d)
-                    filled = np.ascontiguousarray(
-                        np.where(bits[:, :, None, :], mt[:, None, :, :], zero)
-                    )
-                    vals[sub] = semiring.add_reduce(filled, axis=-1).astype(
-                        dt
-                    )
-                    y[ch.rows, :, sl] = semiring.add(
-                        y[ch.rows, :, sl],
-                        pl.fold_runs(semiring, vals, ch),
-                    )
-                    continue
+        G = None
+        for sl, act in zip(stripes, acts):
+            sub = _active_subset(act, cols, counters)
+            if sub is None:
+                if G is None:
+                    G = pl.masked_gather(ch)
+                vals = _tile_values(semiring, ext[sl], G)
+            elif sub.size == 0:
+                # Every contribution is the add identity; folding it
+                # into the identity-initialised output is a no-op for
+                # every semiring (row-aligned chunks touch each row
+                # once).
+                continue
             else:
-                note_active(counters, ch.size, ch.size)
-            if bits_full is None:
-                bits_full = pl.bits(ch)
-            seg = xpad[:, sl][idx]  # (m, d, kp)
-            m = semiring.mult_matrix_one(seg)  # (m, d, kp)
-            # Reduce over the tile-column axis kept *last*, on a
-            # C-contiguous buffer, so the float summation tree matches the
-            # single-vector kernel's exactly (np.where's broadcast output
-            # can come back strided, which changes the reduction's
-            # pairwise chunking).
-            mt = np.swapaxes(m, 1, 2)  # (m, kp, d)
-            filled = np.ascontiguousarray(
-                np.where(bits_full[:, :, None, :], mt[:, None, :, :], zero)
-            )
-            vals = semiring.add_reduce(filled, axis=-1).astype(
-                dt
-            )  # (m, d, kp)
+                vals = np.full(
+                    (ch.size, d, sl.stop - sl.start), zero, dtype=dt
+                )
+                vals[sub] = _tile_values(
+                    semiring, ext[sl], pl.masked_gather(ch, sub)
+                )
+            # Chunks are row-aligned, so each output row is folded once.
             y[ch.rows, :, sl] = semiring.add(
                 y[ch.rows, :, sl], pl.fold_runs(semiring, vals, ch)
             )

@@ -359,7 +359,7 @@ def delta_rewarm_stats(
     stats.warp_instructions += 5.0 * rebuilt  # per-tile bit edits
 
     # Plan warm: one pass over the tile index per word plane — chunk
-    # tables, gather indices, cached bit masks (SweepPlan.warm).
+    # tables, gather indices, masked-gather indices (SweepPlan.warm).
     planes = plane_count(k, d)
     stats.dram_bytes += planes * (4.0 * n_tiles + 4.0 * (A.n_tile_rows + 1))
     stats.warp_instructions += planes * 4.0 * n_tiles / 32.0

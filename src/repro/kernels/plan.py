@@ -5,7 +5,7 @@ the host-side kernels, however, used to re-derive the sweep *layout* on
 every launch: the tile-row expansion of ``indptr``, the row-aligned chunk
 boundaries, each chunk's run starts / output rows, the value-gather index
 ``indices·d + col_offsets``, and (for the semiring path) the unpacked
-per-tile bit masks.  A serving cluster launches the same kernels against
+per-tile bits.  A serving cluster launches the same kernels against
 the same registered graphs thousands of times per run, so that per-launch
 overhead dominates the host wall-clock.
 
@@ -17,12 +17,14 @@ overhead dominates the host wall-clock.
   boundaries and fold order);
 * **gather index** — the full ``indices[:, None]·d + arange(d)`` array,
   sliced per chunk;
-* **bit masks** — ``unpack_bits_rowmajor(tiles[lo:hi]).astype(bool)``
-  per row-aligned chunk, cached under a byte budget
-  (:data:`DEFAULT_BITS_BUDGET_BYTES`; the dominant per-launch cost of
-  the semiring schemes);
+* **fused masked-gather index** — per row-aligned chunk, the gather
+  index with every unset bit pointed at an identity sentinel slot
+  (:meth:`SweepPlan.masked_gather`), cached under a byte budget
+  (:data:`DEFAULT_BITS_BUDGET_BYTES`); the one tile-sweep index of the
+  semiring schemes;
 * **value scratch** — zero-padded operand buffers per ``(dtype, k)``
-  (the pad tail past ``ncols`` is written once and never dirtied);
+  (the pad tail past ``ncols`` is written once and never dirtied) and
+  the per-plane sentinel buffers the masked gather reads;
 * **set-bit index** — :class:`SetBitIndex`, the stored bits in CSR
   order as a ``(gather, starts, rows)`` triple, built on the first
   min/max-semiring launch (the set-bit execution path of
@@ -39,19 +41,14 @@ construction), so a warm plan is valid for the lifetime of the matrix.
 kernels' frontier-sparsity-aware sweeps: a stored tile whose input word
 (packed schemes) or input value segment (semiring schemes) is the add
 identity contributes nothing, so the expensive per-tile work can be
-elided.  Two elision regimes keep results bitwise identical to the dense
-sweep:
-
-* **fold elision** (OR folds — ``bmv_bin_bin_bin*``): bitwise OR is
-  associative, commutative and exact, so inactive tiles are dropped from
-  the fold entirely and only the surviving run structure is reduced;
-* **compute elision** (float add / min / max folds): the fold *shape* is
-  preserved — inactive tiles' contribution slots are pre-filled with the
-  add identity, which is exactly the value the dense sweep would compute
-  for them — and only the per-tile gather/unpack/combine work is elided.
-  Because the folded array is value-identical element-for-element, even
-  non-associative float accumulation reproduces the dense sweep bit for
-  bit.
+elided.  Every scheme uses **compute elision**, which keeps results
+bitwise identical to the dense sweep: the fold *shape* is preserved —
+inactive tiles' contribution slots are pre-filled with the add identity
+(0 for the OR and counting folds), which is exactly the value the dense
+sweep would compute for them — and only the per-tile
+gather/unpack/combine work is elided.  Because the folded array is
+value-identical element-for-element, even non-associative float
+accumulation reproduces the dense sweep bit for bit.
 
 Value-operand activity is tested with *bit-level* equality
 (:func:`value_activity`): ``-0.0`` is not bit-identical to the
@@ -77,10 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.formats.b2sr import B2SRMatrix
     from repro.semiring import Semiring
 
-#: Default byte budget for cached unpacked bit masks per plan.  A chunk's
-#: mask costs ``(hi - lo) · d²`` bytes (bool); chunks past the budget are
-#: unpacked on the fly instead of cached.  Serving deployments that pin
-#: many large graphs can lower this per plan via ``SweepPlan(bits_budget=…)``.
+#: Default byte budget for the cached fused masked-gather indices per plan.
+#: A chunk's index costs ``(hi - lo) · d²`` native ints; chunks past the
+#: budget are built on the fly instead of cached.  Serving deployments
+#: that pin many large graphs can lower this per plan via
+#: ``SweepPlan(bits_budget=…)``.
 DEFAULT_BITS_BUDGET_BYTES = 256 * 1024 * 1024
 
 
@@ -149,9 +147,9 @@ class SweepPlan:
         self.bits_budget = int(bits_budget)
         self._chunk_tables: dict[tuple[int, bool], tuple[SweepChunk, ...]] = {}
         self._gather: np.ndarray | None = None
-        self._bits: dict[tuple, np.ndarray] = {}
-        self._bits_bytes = 0
-        self._scratch: dict[tuple[str, int | None], np.ndarray] = {}
+        self._masked: dict[tuple[int, int], np.ndarray] = {}
+        self._masked_bytes = 0
+        self._scratch: dict[tuple, np.ndarray] = {}
         self._folds: dict[tuple, SequentialFoldPlan] = {}
         self._set_bits: SetBitIndex | None = None
 
@@ -203,7 +201,7 @@ class SweepPlan:
         return table
 
     # ------------------------------------------------------------------
-    # Gather index and bit masks (semiring path)
+    # Gather indices (semiring path)
     # ------------------------------------------------------------------
     @property
     def gather_index(self) -> np.ndarray:
@@ -237,74 +235,44 @@ class SweepPlan:
             raise ValueError("gather must be read-only to be adopted")
         self._gather = gather
 
-    def bits(
-        self, chunk: SweepChunk, subset: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Boolean bit masks of the chunk's tiles (``(m, d, d)``).
-
-        Cached per chunk under :attr:`bits_budget`; with ``subset`` (an
-        index array into the chunk) only those tiles are returned — and
-        when the chunk is not cached, only they are unpacked.
-        """
-        A = self.matrix
-        d = A.tile_dim
-        key = (chunk.lo, chunk.hi)
-        cached = self._bits.get(key)
-        if cached is None:
-            cost = chunk.size * d * d
-            if self._bits_bytes + cost <= self.bits_budget:
-                cached = _freeze(
-                    unpack_bits_rowmajor(
-                        A.tiles[chunk.lo:chunk.hi], d
-                    ).astype(bool)
-                )
-                self._bits[key] = cached
-                self._bits_bytes += cost
-        if cached is not None:
-            return cached if subset is None else cached[subset]
-        tiles = A.tiles[chunk.lo:chunk.hi]
-        if subset is not None:
-            tiles = tiles[subset]
-        return unpack_bits_rowmajor(tiles, d).astype(bool)
-
     @property
     def bits_cached_bytes(self) -> int:
-        """Bytes currently held by the bit-mask / masked-gather caches."""
-        return self._bits_bytes
+        """Bytes currently held by the masked-gather cache."""
+        return self._masked_bytes
 
     def masked_gather(
         self, chunk: SweepChunk, subset: np.ndarray | None = None
     ) -> np.ndarray:
-        """Fused gather index for the single-vector semiring sweep.
+        """Fused gather index of the semiring tile sweep, ``(m, d, d)``.
 
         ``G[t, r, c]`` is the padded-operand position of tile ``t``'s
         column ``c`` where bit ``(r, c)`` is set, else the sentinel slot
-        ``n_tile_cols · d`` (which :meth:`mult_scratch` keeps loaded with
-        the semiring identity).  ``ext[G]`` therefore materialises *the
-        exact array* the seed kernel builds with
-        ``np.where(bits, broadcast(mult(seg)), zero)`` — same shape,
-        same C-contiguity, same values — in one fancy-index gather, so
-        the subsequent reduction tree (and every float bit) is
-        unchanged while the per-launch broadcast/where work disappears.
+        ``n_tile_cols · d`` (which :meth:`sentinel_scratch` keeps loaded
+        with the semiring identity).  Gathering a value plane through
+        ``G`` therefore materialises *the exact array* the seed kernel
+        builds with ``np.where(bits, broadcast(mult(seg)), zero)`` in one
+        fancy-index gather, so the reduction tree (and every float bit)
+        is unchanged while the per-launch broadcast/where work disappears.
 
-        Cached per chunk under the same byte budget as :meth:`bits`
-        (int32 entries: 4 bytes per bit cell).
+        Cached per chunk under :attr:`bits_budget` (native ints: 8 bytes
+        per bit cell); with ``subset`` (an index array into the chunk)
+        only those tiles are returned.
         """
         A = self.matrix
         d = A.tile_dim
-        key = ("gather", chunk.lo, chunk.hi)
-        cached = self._bits.get(key)
+        key = (chunk.lo, chunk.hi)
+        cached = self._masked.get(key)
         if cached is not None:
             return cached if subset is None else cached[subset]
         # Native index width: narrower dtypes would halve the cache
         # cost but numpy re-casts non-intp fancy indices on *every*
         # launch, which costs more than the memory saves.
         cost = chunk.size * d * d * np.dtype(np.intp).itemsize
-        build = self._bits_bytes + cost <= self.bits_budget
+        build = self._masked_bytes + cost <= self.bits_budget
         sentinel = np.intp(A.n_tile_cols * d)
         if not build and subset is not None:
             # Over budget: restrict the transient unpack + index build
-            # to the requested tiles (mirrors :meth:`bits`).
+            # to the requested tiles.
             bits = unpack_bits_rowmajor(
                 A.tiles[chunk.lo:chunk.hi][subset], d
             ).astype(bool)
@@ -320,8 +288,8 @@ class SweepPlan:
         G = np.where(bits, idx[:, None, :].astype(np.intp), sentinel)
         if build:
             G = _freeze(G)
-            self._bits[key] = G
-            self._bits_bytes += cost
+            self._masked[key] = G
+            self._masked_bytes += cost
         return G if subset is None else G[subset]
 
     @property
@@ -382,40 +350,37 @@ class SweepPlan:
             return self.seq_fold(chunk)(values)
         return semiring.add_reduceat(values, chunk.starts)
 
-    def mult_scratch(self, dtype: np.dtype) -> np.ndarray:
-        """Reusable buffer for the multiplied padded operand plus the
-        identity sentinel slot :meth:`masked_gather` points elided cells
-        at: shape ``(n_tile_cols · d + 1,)``.  The caller refills
-        ``[:-1]`` and the sentinel every launch."""
-        dt = np.dtype(dtype)
-        key = (dt.str, -1)
-        buf = self._scratch.get(key)
-        if buf is None:
-            A = self.matrix
-            buf = np.zeros(A.n_tile_cols * A.tile_dim + 1, dtype=dt)
-            self._scratch[key] = buf
-        return buf
-
     # ------------------------------------------------------------------
     # Scratch buffers
     # ------------------------------------------------------------------
-    def value_scratch(
-        self, dtype: np.dtype, k: int | None = None
-    ) -> np.ndarray:
-        """A reusable zero-padded value operand buffer.
-
-        Shape ``(n_tile_cols · d,)`` for single vectors or
-        ``(n_tile_cols · d, k)`` for batches.  The caller overwrites
-        ``[:ncols]`` every launch; the pad tail past ``ncols`` is zeroed
-        at allocation and never written, so reuse is safe.
+    def value_scratch(self, dtype: np.dtype, k: int) -> np.ndarray:
+        """A reusable zero-padded value operand buffer of shape
+        ``(n_tile_cols · d, k)``.  The caller overwrites ``[:ncols]``
+        every launch; the pad tail past ``ncols`` is zeroed at allocation
+        and never written, so reuse is safe.
         """
+        A = self.matrix
+        return self._buffer("value", dtype, (A.n_tile_cols * A.tile_dim, k))
+
+    def sentinel_scratch(self, dtype: np.dtype, k: int) -> np.ndarray:
+        """Reusable ``(k, n_tile_cols · d + 1)`` buffer the fused masked
+        gather reads: row ``j`` holds the multiplied padded operand of
+        batch column ``j`` followed by the identity sentinel slot
+        :meth:`masked_gather` points unset bits at, so a value plane's
+        rows are one contiguous ``(kp, n_tile_cols · d + 1)`` block.  The
+        caller refills every row and the sentinel each launch."""
+        A = self.matrix
+        return self._buffer(
+            "sentinel", dtype, (k, A.n_tile_cols * A.tile_dim + 1)
+        )
+
+    def _buffer(
+        self, kind: str, dtype: np.dtype, shape: tuple[int, int]
+    ) -> np.ndarray:
         dt = np.dtype(dtype)
-        key = (dt.str, None if k is None else int(k))
+        key = (kind, dt.str, shape)
         buf = self._scratch.get(key)
         if buf is None:
-            A = self.matrix
-            n = A.n_tile_cols * A.tile_dim
-            shape = (n,) if k is None else (n, int(k))
             buf = np.zeros(shape, dtype=dt)
             self._scratch[key] = buf
         return buf
@@ -426,8 +391,8 @@ class SweepPlan:
     def warm(self, plane_widths: tuple[int, ...] = (1,)) -> "SweepPlan":
         """Eagerly build the launch-invariant state for the given plane
         widths (both chunk-table flavours, the gather index, and the
-        row-aligned chunks' bit masks within budget) so the first
-        serving launch runs at warm speed."""
+        row-aligned chunks' fused masked-gather indices within budget) so
+        the first serving launch runs at warm speed."""
         d = self.matrix.tile_dim
         _ = self.matrix.tile_row_of()
         _ = self.gather_index
@@ -435,20 +400,15 @@ class SweepPlan:
             pw = min(max(int(width), 1), d)
             self.chunks(pw, row_aligned=False)
             for chunk in self.chunks(pw, row_aligned=True):
-                if pw == 1:
-                    # The single-vector semiring sweep folds through the
-                    # fused masked-gather index instead of raw bit masks.
-                    self.masked_gather(chunk)
-                else:
-                    self.bits(chunk)
+                self.masked_gather(chunk)
         return self
 
     def stats(self) -> dict[str, float]:
         """Introspection for benches/reports."""
         return {
             "chunk_tables": float(len(self._chunk_tables)),
-            "bits_cached_bytes": float(self._bits_bytes),
-            "bits_cached_chunks": float(len(self._bits)),
+            "bits_cached_bytes": float(self._masked_bytes),
+            "bits_cached_chunks": float(len(self._masked)),
             "scratch_buffers": float(len(self._scratch)),
             "gather_cached": float(self._gather is not None),
             "set_bits_cached": float(self._set_bits is not None),
@@ -459,25 +419,24 @@ class SweepPlan:
 # Active-tile skip helpers
 # ----------------------------------------------------------------------
 def word_activity(xw: np.ndarray) -> np.ndarray:
-    """Per-tile-column activity of a packed operand: ``True`` where the
-    word (or any word of the batch row) carries a set bit.
+    """Per-tile-column activity of a packed operand: ``True`` where any
+    word of the batch row carries a set bit.
 
-    ``xw`` is ``(n_tile_cols,)`` or ``(n_tile_cols, kp)`` — one word
-    plane.  A stored tile in an inactive column ANDs against all-zero
-    words, so its contribution is the OR/add identity.
+    ``xw`` is ``(n_tile_cols, kp)`` — one word plane.  A stored tile in
+    an inactive column ANDs against all-zero words, so its contribution
+    is the OR/add identity.
     """
-    if xw.ndim == 1:
-        return xw != 0
     return (xw != 0).any(axis=1)
 
 
 def value_activity(
     xpad: np.ndarray, tile_dim: int, zero: float
 ) -> np.ndarray:
-    """Per-tile-column activity of a padded value operand.
+    """Per-tile-column activity of a padded value operand
+    ``(n_tile_cols · d, kp)`` — one value plane.
 
     A column block is *inactive* when every one of its ``d`` values (for
-    every batch column, when 2-D) is **bit-identical** to the semiring
+    every batch column) is **bit-identical** to the semiring
     add identity ``zero`` — equality alone is not enough because
     ``-0.0 == +0.0`` yet contributes a different bit pattern to a float
     sum, so signed zeros are kept active.  ``NaN`` never equals the
@@ -491,9 +450,6 @@ def value_activity(
     if z == 0.0:
         # Bit-level: -0.0 compares equal to +0.0 but must stay active.
         neq |= np.signbit(xpad) != np.signbit(z)
-    if xpad.ndim == 1:
-        blocks = neq.reshape(-1, tile_dim)
-        return blocks.any(axis=1)
     blocks = neq.reshape(-1, tile_dim, xpad.shape[1])
     return blocks.any(axis=(1, 2))
 

@@ -126,7 +126,7 @@ class QueryBatcher:
         """Pre-build the engines' kernel sweep plans for the batch widths
         this batcher launches (single queries and ``max_batch``-wide
         coalesced groups), so the first flush already runs against warm
-        chunk tables and cached bit masks.  Backends without plans (the
+        chunk tables and masked-gather indices.  Backends without plans (the
         CSR baseline engines) are a no-op."""
         if widths is None:
             widths = (1, self.max_batch)

@@ -184,7 +184,7 @@ class GraphRegistry:
             estimator=ServiceEstimator(engine, cc_engine=cc),
         )
         # A registered serving graph owns warm kernel plans: the chunk
-        # tables, gather indices and bit masks its batched launches need
+        # tables, gather indices and masked-gather indices its batched launches need
         # are built now, not on the first query's critical path.
         entry.batcher.warm()
         self._entries[name] = entry

@@ -211,3 +211,112 @@ def test_bmv_full_matches_reference_property(n, d, semiring_name, seed):
     assert np.allclose(
         bmv_bin_full_full(A, x, s), bmv_reference(dense, x, s), atol=1e-3
     )
+
+
+# ---------------------------------------------------------------------------
+# k=1 launch contract: counters and result ownership
+# ---------------------------------------------------------------------------
+def _k1_launch(name, A, xb, xf, mask, semiring, skip, counters):
+    d = A.tile_dim
+    xw = pack_bitvector(xb, d)
+    kw = dict(skip=skip, counters=counters)
+    if name == "bin_bin_bin":
+        return bmv_bin_bin_bin(A, xw, **kw)
+    if name == "bin_bin_bin_masked":
+        return bmv_bin_bin_bin_masked(A, xw, mask, complement=True, **kw)
+    if name == "bin_bin_full":
+        return bmv_bin_bin_full(A, xw, **kw)
+    if name == "bin_bin_full_masked":
+        return bmv_bin_bin_full_masked(A, xw, mask, **kw)
+    if name == "bin_full_full":
+        return bmv_bin_full_full(A, xf, semiring, **kw)
+    return bmv_bin_full_full_masked(A, xf, mask, semiring=semiring, **kw)
+
+
+K1_ENTRY_POINTS = (
+    "bin_bin_bin",
+    "bin_bin_bin_masked",
+    "bin_bin_full",
+    "bin_bin_full_masked",
+    "bin_full_full",
+    "bin_full_full_masked",
+)
+
+
+class TestSingleVectorLaunchContract:
+    """Every single-vector entry point reports the modeled tile counts an
+    independent count over the operand gives, and hands back a fresh
+    array on every launch (never a view of plan scratch or of another
+    launch's result)."""
+
+    @staticmethod
+    def _k1_operands(n, d, semiring, seed):
+        rng = np.random.default_rng(seed)
+        dense = (rng.random((n, n)) < 0.1).astype(np.float32)
+        A = b2sr_from_dense(dense, d)
+        # Whole tile-column blocks at the identity, so skipping elides
+        # some tiles and keeps others.
+        cold = np.repeat(rng.random(A.n_tile_cols) < 0.5, d)[:n]
+        xb = ((rng.random(n) < 0.35) & ~cold).astype(np.float32)
+        xf = (rng.random(n) * 10).astype(np.float32)
+        xf[cold] = semiring.zero
+        mask = rng.random(n) < 0.5
+        return A, xb, xf, mask
+
+    @staticmethod
+    def _expected_counters(name, A, xb, xf, semiring, skip):
+        from repro.kernels.plan import value_activity, word_activity
+
+        if not skip:
+            return A.n_tiles, A.n_tiles
+        d = A.tile_dim
+        if name.startswith("bin_bin"):
+            act = word_activity(pack_bitvector(xb, d)[:, None])
+        else:
+            xpad = np.zeros((A.n_tile_cols * d, 1), dtype=np.float32)
+            xpad[: A.ncols, 0] = xf
+            act = value_activity(xpad, d, semiring.zero)
+        return int(np.count_nonzero(act[A.indices])), A.n_tiles
+
+    @pytest.mark.parametrize("d", (4, 8, 32))
+    @pytest.mark.parametrize("skip", (False, True))
+    @pytest.mark.parametrize("name", K1_ENTRY_POINTS)
+    def test_counters_match_independent_count(self, name, skip, d):
+        semirings = (
+            list(SEMIRINGS.values()) if "full_full" in name
+            else [ARITHMETIC]
+        )
+        for i, s in enumerate(semirings):
+            A, xb, xf, mask = self._k1_operands(77, d, s, seed=d + i)
+            counters = {}
+            _k1_launch(name, A, xb, xf, mask, s, skip, counters)
+            active, visits = self._expected_counters(
+                name, A, xb, xf, s, skip
+            )
+            assert counters == {
+                "active_tiles": float(active),
+                "tile_visits": float(visits),
+            }, s.name
+            if skip:
+                assert 0 < active < visits
+
+    @pytest.mark.parametrize("d", (4, 8, 32))
+    @pytest.mark.parametrize("skip", (False, True))
+    @pytest.mark.parametrize("name", K1_ENTRY_POINTS)
+    def test_consecutive_launches_do_not_alias(self, name, skip, d):
+        semirings = (
+            (ARITHMETIC, MIN_PLUS) if "full_full" in name else (ARITHMETIC,)
+        )
+        for s in semirings:
+            A, xb, xf, mask = self._k1_operands(77, d, s, seed=d)
+            first = _k1_launch(name, A, xb, xf, mask, s, skip, None)
+            second = _k1_launch(name, A, xb, xf, mask, s, skip, None)
+            kept = second.copy()
+            assert not np.shares_memory(first, second)
+            for buf in A.plan()._scratch.values():
+                assert not np.shares_memory(first, buf)
+                assert not np.shares_memory(second, buf)
+            first[...] = 1
+            assert np.array_equal(
+                second.view(np.uint8), kept.view(np.uint8)
+            ), s.name

@@ -141,6 +141,22 @@ class TestBallotSync:
         with pytest.raises(ValueError):
             ballot_sync(np.ones(31, dtype=bool))
 
+    @pytest.mark.parametrize("width", [1, 4, 7, 8, 12, 16, 20, 32, 33, 64])
+    def test_matches_weighted_sum_every_width(self, width):
+        rng = np.random.default_rng(width)
+        # A strided (swapped-axes) float predicate batch, the shape the
+        # batched kernels vote on.
+        pred = np.swapaxes(rng.random((5, width, 3)) < 0.5, 1, 2) * 2.5
+        out = ballot_sync(pred, width=width)
+        want = (
+            (pred != 0).astype(np.uint64)
+            << np.arange(width, dtype=np.uint64)
+        ).sum(axis=-1, dtype=np.uint64)
+        assert out.shape == (5, 3)
+        assert out.dtype == dtype_for_width(width)
+        assert np.array_equal(out, want.astype(out.dtype))
+        assert isinstance(ballot_sync(pred[0, 0], width=width), int)
+
     def test_ballot_brev_is_msb_first_packing(self):
         """§IV: brev(ballot(p)) rotates the bit-column anticlockwise — lane
         k lands at MSB-first position k."""

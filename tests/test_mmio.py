@@ -98,3 +98,35 @@ class TestReader:
         )
         with pytest.raises(ValueError):
             read_matrix_market(io.StringIO(text))
+
+    def test_more_entries_than_header_names_the_line(self):
+        text = (
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "% one comment\n"
+            "2 2 1\n"
+            "1 1\n"
+            "2 2\n"
+        )
+        with pytest.raises(ValueError, match="line 5"):
+            read_matrix_market(io.StringIO(text))
+
+    def test_short_entry_names_the_line(self):
+        text = (
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "2 2 2\n"
+            "1 1\n"
+            "2\n"
+        )
+        with pytest.raises(ValueError, match="line 4"):
+            read_matrix_market(io.StringIO(text))
+
+    def test_real_entry_without_value_names_the_line(self):
+        # Used to be stored silently as weight 1.0.
+        text = (
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 2\n"
+            "1 1 0.5\n"
+            "2 1\n"
+        )
+        with pytest.raises(ValueError, match="line 4"):
+            read_matrix_market(io.StringIO(text))

@@ -141,11 +141,11 @@ class TestBitwiseEquality:
         # -0.0 equals +0.0 numerically but not bit-wise; the activity
         # test must keep it active or the first fold element would flip
         # sign bits (see value_activity).
-        xpad = np.array([0.0, -0.0, 0.0, 0.0], dtype=np.float32)
+        xpad = np.array([[0.0], [-0.0], [0.0], [0.0]], dtype=np.float32)
         act = value_activity(xpad, 4, 0.0)
         assert act.tolist() == [True]
         assert value_activity(
-            np.zeros(4, dtype=np.float32), 4, 0.0
+            np.zeros((4, 1), dtype=np.float32), 4, 0.0
         ).tolist() == [False]
 
     def test_chunked_matrices_hit_multiple_chunks(self, monkeypatch):
@@ -502,8 +502,8 @@ class TestSkipMode:
         assert np.isinf(got).all()
 
     def test_word_activity_shapes(self):
-        assert word_activity(np.array([0, 3, 0], dtype=np.uint8)).tolist() \
-            == [False, True, False]
+        one = np.array([[0], [3], [0]], dtype=np.uint8)
+        assert word_activity(one).tolist() == [False, True, False]
         two = np.array([[0, 1], [0, 0]], dtype=np.uint8)
         assert word_activity(two).tolist() == [True, False]
 
