@@ -19,6 +19,9 @@ operand, 226 tiles) with a half-unreached distance operand — the
 set-bit path of the min/max semirings.  The ``*_arithmetic`` cases time
 PageRank's tile sweep (the fused masked gather) on the same matrix, and
 ``bmv_bin_bin_bin_masked`` BFS's masked boolean pull at ``k = 1``.
+``frontier_expand_multi`` times the bit engine's batched BFS level on
+the same matrix: one case replays every level (frontier and visited
+columns) recorded from a seeded ``k``-source ``multi_source_bfs``.
 """
 
 import numpy as np
@@ -31,6 +34,7 @@ from repro.datasets.generators import (
     diagonal_pattern,
     hybrid_pattern,
 )
+from repro.engines.bit import BitEngine
 from repro.kernels import planless
 from repro.kernels.bmm import bmm_bin_bin_sum
 from repro.kernels.bmv import (
@@ -151,6 +155,38 @@ def test_wallclock_bmv_bin_bin_bin_masked(benchmark, hybrid, json_report):
     emit_benchmark(
         json_report, benchmark, "bmv_bin_bin_bin_masked",
         graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=1,
+    )
+
+
+@pytest.mark.parametrize("k", (1, 8, 32))
+def test_wallclock_frontier_expand_multi(benchmark, hybrid, json_report, k):
+    """Every level of a seeded k-source BFS, replayed through the engine."""
+    from repro.algorithms import multi_source_bfs
+
+    g, _ = hybrid
+    engine = BitEngine(g, tile_dim=32)
+    levels = []
+    expand = engine.frontier_expand_multi
+
+    def record(frontiers, visiteds):
+        levels.append((frontiers.copy(), visiteds.copy()))
+        return expand(frontiers, visiteds)
+
+    engine.frontier_expand_multi = record
+    sources = np.random.default_rng(k).choice(g.n, k, replace=False)
+    multi_source_bfs(engine, sources)
+    del engine.frontier_expand_multi
+
+    def replay():
+        engine.reset_stats()
+        for frontiers, visiteds in levels:
+            expand(frontiers, visiteds)
+
+    benchmark(replay)
+    emit_benchmark(
+        json_report, benchmark, "frontier_expand_multi",
+        graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=k,
+        levels=len(levels),
     )
 
 

@@ -4,9 +4,11 @@ Boolean semiring.  Each iteration performs one masked vxm — a single
 ``bmv_bin_bin_bin_masked`` launch on the bit backend, where the visited
 mask is ANDed in right before the output store (the paper explicitly avoids
 GraphBLAST's early-exit because it causes warp divergence inside a tile
-row).  :func:`multi_source_bfs` advances ``k`` sources in lockstep through
-the batched ``bmv_bin_bin_bin_multi_masked`` kernel: still one launch per
-level, however many traversals are in flight.
+row).  :func:`multi_source_bfs` advances ``k`` sources in lockstep: on the
+bit backend each level is one ``bmv_bin_bin_bin_sliced_masked`` launch over
+bit-sliced frontiers (one ``uint64`` word per vertex carries 64 of the
+traversals), priced as the batched tile sweep ``bmv_bin_bin_bin_multi_masked``
+— still one launch per level, however many traversals are in flight.
 """
 
 from __future__ import annotations

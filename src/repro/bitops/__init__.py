@@ -23,8 +23,10 @@ from repro.bitops.intrinsics import (
     shfl_sync,
 )
 from repro.bitops.packing import (
+    batch_word_count,
     nibble_pack,
     nibble_unpack,
+    pack_batch_words,
     pack_bitmatrix,
     pack_bits_colmajor,
     pack_bits_rowmajor,
@@ -32,6 +34,7 @@ from repro.bitops.packing import (
     plane_count,
     plane_slices,
     transpose_packed,
+    unpack_batch_words,
     unpack_bitmatrix,
     unpack_bits_colmajor,
     unpack_bits_rowmajor,
@@ -57,6 +60,9 @@ __all__ = [
     "unpack_bitvector",
     "pack_bitmatrix",
     "unpack_bitmatrix",
+    "batch_word_count",
+    "pack_batch_words",
+    "unpack_batch_words",
     "plane_count",
     "plane_slices",
     "nibble_pack",

@@ -111,6 +111,53 @@ def transpose_packed(words: np.ndarray, tile_dim: int) -> np.ndarray:
     return pack_bits_rowmajor(np.swapaxes(dense, -1, -2))
 
 
+def _pack_rows(bits: np.ndarray, width: int) -> np.ndarray:
+    """Pack each row of a ``(rows, nwords · width)`` bool array into
+    ``nwords`` little-endian words of ``width`` ∈ {4, 8, 16, 32, 64}
+    bits: entry ``i`` of a row lands in word ``i // width`` at bit
+    ``i % width``.
+
+    ``np.packbits(bitorder="little")`` packs the bits into bytes; for
+    ``width ≥ 8`` the bytes of a word are consecutive, so a
+    ``width``-bit view is the word array, and B2SR-4 splits every byte
+    into its two nibble words.
+    """
+    rows, nbits = bits.shape
+    if width == 4:
+        b = np.packbits(bits, axis=1, bitorder="little")
+        # ``packbits`` zero-pads an odd word count's last byte.
+        words = np.empty((rows, 2 * b.shape[1]), dtype=np.uint8)
+        np.bitwise_and(b, 0xF, out=words[:, 0::2])
+        np.right_shift(b, 4, out=words[:, 1::2])
+        return words[:, : nbits // 4]
+    # Rows are whole bytes, so one flat pack serves them all (a per-row
+    # ``axis=1`` pack of many short rows is several times slower).
+    b = np.packbits(bits.reshape(-1), bitorder="little")
+    return b.reshape(rows, nbits // 8).view(np.dtype(f"<u{width // 8}"))
+
+
+def _unpack_columns(words: np.ndarray, tile_dim: int) -> np.ndarray:
+    """Unpack ``(nwords, k)`` ``uint64`` words into the ``(nwords · d, k)``
+    uint8 0/1 array whose row ``w·d + b`` is bit ``b`` of word row ``w``
+    (bits at or above ``d`` are ignored).
+
+    The words' bytes are laid out along the row axis — word row ``w``,
+    byte ``c`` becomes byte row ``w·d/8 + c`` — so one
+    ``np.unpackbits(axis=0, bitorder="little")`` emits the rows in order
+    (B2SR-4 unpacks a byte per word and keeps its low nibble).
+    """
+    nwords, k = words.shape
+    if tile_dim == 4:
+        bits = np.unpackbits(
+            words.astype(np.uint8), axis=0, bitorder="little"
+        )
+        return bits.reshape(nwords, 8, k)[:, :4].reshape(nwords * 4, k)
+    nb = tile_dim // 8
+    b = words.astype(np.dtype(f"<u{nb}"))[..., None].view(np.uint8)
+    b = np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(nwords * nb, k)
+    return np.unpackbits(b, axis=0, bitorder="little")
+
+
 def pack_bitvector(x: np.ndarray, tile_dim: int) -> np.ndarray:
     """Binarize and bit-pack a vector into ``tile_dim``-bit words.
 
@@ -125,12 +172,9 @@ def pack_bitvector(x: np.ndarray, tile_dim: int) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     n = v.shape[0]
     nwords = (n + tile_dim - 1) // tile_dim
-    bits = np.zeros(nwords * tile_dim, dtype=np.uint64)
-    bits[:n] = v != 0
-    bits = bits.reshape(nwords, tile_dim)
-    weights = np.uint64(1) << np.arange(tile_dim, dtype=np.uint64)
-    words = (bits * weights).sum(axis=1, dtype=np.uint64)
-    return words.astype(dtype_for_width(tile_dim))
+    bits = np.zeros((1, nwords * tile_dim), dtype=bool)
+    bits[0, :n] = v != 0
+    return _pack_rows(bits, tile_dim)[0].astype(dtype_for_width(tile_dim))
 
 
 def unpack_bitvector(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
@@ -152,9 +196,7 @@ def unpack_bitvector(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
             f"packed vector must hold exactly {nwords} words of {tile_dim} "
             f"bits for {n} entries, got {arr.shape[0]} words"
         )
-    shifts = np.arange(tile_dim, dtype=np.uint64)
-    bits = ((arr[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return bits.reshape(-1)[:n]
+    return _unpack_columns(arr[:, None], tile_dim)[:n, 0]
 
 
 def plane_count(k: int, tile_dim: int) -> int:
@@ -205,12 +247,12 @@ def pack_bitmatrix(x: np.ndarray, tile_dim: int) -> np.ndarray:
         raise ValueError(f"expected an (n, k) matrix, got shape {v.shape}")
     n, k = v.shape
     nwords = (n + tile_dim - 1) // tile_dim
-    bits = np.zeros((nwords * tile_dim, k), dtype=np.uint64)
-    bits[:n] = v != 0
-    bits = bits.reshape(nwords, tile_dim, k)
-    weights = np.uint64(1) << np.arange(tile_dim, dtype=np.uint64)
-    words = (bits * weights[None, :, None]).sum(axis=1, dtype=np.uint64)
-    return words.astype(dtype_for_width(tile_dim))
+    # Vector j is row j of the bit stream, contiguous for ``packbits``.
+    bits = np.zeros((k, nwords * tile_dim), dtype=bool)
+    bits[:, :n] = v.T != 0
+    return np.ascontiguousarray(
+        _pack_rows(bits, tile_dim).T, dtype=dtype_for_width(tile_dim)
+    )
 
 
 def unpack_bitmatrix(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
@@ -230,11 +272,50 @@ def unpack_bitmatrix(words: np.ndarray, tile_dim: int, n: int) -> np.ndarray:
             f"packed matrix must hold exactly {nwords} word rows of "
             f"{tile_dim} bits for {n} entries, got {arr.shape[0]}"
         )
-    shifts = np.arange(tile_dim, dtype=np.uint64)
-    bits = ((arr[:, None, :] >> shifts[None, :, None]) & np.uint64(1)).astype(
-        np.uint8
-    )
-    return bits.reshape(-1, arr.shape[1])[:n]
+    return _unpack_columns(arr, tile_dim)[:n]
+
+
+def batch_word_count(k: int) -> int:
+    """``uint64`` words per vertex of a ``k``-wide batch: ``⌈k/64⌉``."""
+    if k < 0:
+        raise ValueError(f"batch width k must be >= 0, got {k}")
+    return (k + 63) // 64
+
+
+def pack_batch_words(x: np.ndarray) -> np.ndarray:
+    """Bit-slice ``k`` vectors along the batch axis (*batch-major* words).
+
+    ``x`` has shape ``(n, k)``; the result is ``(n, ⌈k/64⌉)`` ``uint64``
+    whose bit ``j % 64`` of word ``j // 64`` in row ``v`` is
+    ``x[v, j] != 0`` (the unused high bits of the last word are 0).  One
+    word per vertex thus records which of the ``k`` vectors hold it — the
+    bit-sliced frontier of multi-source BFS — independently of the tile
+    dimension, in contrast to :func:`pack_bitmatrix`'s vertex-major words.
+    """
+    v = np.asarray(x)
+    if v.ndim != 2:
+        raise ValueError(f"expected an (n, k) matrix, got shape {v.shape}")
+    n, k = v.shape
+    nwords = batch_word_count(k)
+    bits = np.zeros((n, 64 * nwords), dtype=bool)
+    bits[:, :k] = v
+    return _pack_rows(bits, 64).astype(np.uint64, copy=False)
+
+
+def unpack_batch_words(words: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of :func:`pack_batch_words`: the ``(n, k)`` bool array of
+    the low ``k`` bits of each row (higher bits are ignored).  The word
+    count per row must be exactly ``⌈k/64⌉``."""
+    arr = np.asarray(words)
+    nwords = batch_word_count(k)
+    if arr.ndim != 2 or arr.shape[1] != nwords or arr.dtype != np.uint64:
+        raise ValueError(
+            f"batch-major words for k={k} must be uint64 of shape "
+            f"(n, {nwords}), got {arr.dtype} {arr.shape}"
+        )
+    b = np.ascontiguousarray(arr, dtype=np.dtype("<u8")).view(np.uint8)
+    bits = np.unpackbits(b, axis=1, count=k, bitorder="little")
+    return bits.view(bool)
 
 
 def nibble_pack(rows: np.ndarray) -> np.ndarray:

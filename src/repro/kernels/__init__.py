@@ -29,6 +29,7 @@ from repro.kernels.bmv import (
     bmv_bin_bin_bin_masked,
     bmv_bin_bin_bin_multi,
     bmv_bin_bin_bin_multi_masked,
+    bmv_bin_bin_bin_sliced_masked,
     bmv_bin_bin_full,
     bmv_bin_bin_full_masked,
     bmv_bin_bin_full_multi,
@@ -54,6 +55,7 @@ __all__ = [
     "bmv_bin_full_full_masked",
     "bmv_bin_bin_bin_multi",
     "bmv_bin_bin_bin_multi_masked",
+    "bmv_bin_bin_bin_sliced_masked",
     "bmv_bin_bin_full_multi",
     "bmv_bin_full_full_multi",
     "bmm_bin_bin_sum",

@@ -100,6 +100,21 @@ fold order is the contract.  The kernels report the tile sweep's
 ``active_tiles`` / ``tile_visits`` on either path, so the modeled cost
 is independent of the host strategy.
 
+The boolean scheme takes the same route for batched BFS,
+:func:`bmv_bin_bin_bin_sliced_masked`, on *batch-major* words
+(:func:`repro.bitops.packing.pack_batch_words`): bit ``j`` of vertex
+``v``'s word is column ``j`` of the ``(n, k)`` frontier, ``⌈k/64⌉``
+``uint64`` words per vertex — the bit-sliced frontier of multi-source
+BFS (MS-BFS).  One level gathers the frontier words at every stored
+bit, OR-folds each output row's run with one ``reduceat``, scatters into
+a zeroed output and clears the visited words, all ``k`` traversals 64 to
+a word op, with no vertex-major pack, mask pack or unpack.  OR on bits is
+exact, idempotent and order-free, so no operand needs the NaN / ``-0.0``
+guard of the min/max path and every bit equals the tile sweep's.  Its
+counters are again the tile sweep's, counted per ``d``-wide word plane
+from one (tile column × batch column) activity array; with ``skip``
+they change, the work does not.
+
 The only Python-level loops are the tile-chunk loops bounding dense-unpack
 scratch (``_CHUNK_TILES`` elements per plane) and, in the semiring tile
 sweep, the per-column gathers of each plane.
@@ -111,13 +126,16 @@ import numpy as np
 
 from repro.bitops.intrinsics import ballot_sync, mask_for_width
 from repro.bitops.packing import (
+    batch_word_count,
     pack_bitmatrix,
     pack_bitvector,
+    plane_count,
     plane_slices,
 )
 from repro.formats.b2sr import B2SRMatrix
 from repro.kernels.plan import (
     SweepPlan,
+    batch_word_activity,
     note_active,
     value_activity,
     word_activity,
@@ -402,6 +420,83 @@ def bmv_bin_bin_bin_multi_masked(
     valid = _resolve_mask_matrix(masks, A.nrows, xw.shape[1], complement)
     yw = _bmv_bin_bin_bin_core(A, xw, plan, skip, counters)
     return yw & pack_bitmatrix(valid, A.tile_dim)
+
+
+def _check_batch_words(
+    words: np.ndarray, rows: int, nwords: int, what: str
+) -> np.ndarray:
+    """Validate a batch-major operand: ``uint64`` of shape
+    ``(rows, nwords)``."""
+    w = np.asarray(words)
+    if w.shape != (rows, nwords) or w.dtype != np.uint64:
+        raise ValueError(
+            f"{what} must be batch-major uint64 words of shape "
+            f"({rows}, {nwords}), got {w.dtype} {w.shape}"
+        )
+    return w
+
+
+def bmv_bin_bin_bin_sliced_masked(
+    A: B2SRMatrix,
+    x_words: np.ndarray,
+    visited_words: np.ndarray,
+    k: int,
+    *,
+    activity: np.ndarray | None = None,
+    skip: bool = False,
+    counters: dict | None = None,
+) -> np.ndarray:
+    """Batched masked boolean SpMV on bit-sliced operands — the set-bit
+    sweep of the boolean scheme, batched BFS's kernel (module docstring,
+    "Set-bit execution").
+
+    ``x_words`` (shape ``(ncols, ⌈k/64⌉)``) and ``visited_words`` (shape
+    ``(nrows, ⌈k/64⌉)``) are batch-major words from
+    :func:`repro.bitops.packing.pack_batch_words`; so is the result, whose
+    batch column ``j`` equals column ``j`` of
+    ``bmv_bin_bin_bin_multi_masked(A, X, visited, complement=True)``:
+    the rows reached from frontier ``j`` that it has not visited.
+
+    The sweep does the same work whatever ``skip`` is; ``counters``
+    receive what the tile sweep would report — ``n_tiles`` visits per
+    word plane, and with ``skip=True`` as active the stored tiles whose
+    column block holds a set bit in the plane.  ``activity`` may pass in
+    :func:`repro.kernels.plan.batch_word_activity` of ``x_words`` when
+    the caller has already computed it.
+    """
+    d = A.tile_dim
+    nwords = batch_word_count(k)
+    xw = _check_batch_words(x_words, A.ncols, nwords, "x_words")
+    vw = _check_batch_words(visited_words, A.nrows, nwords, "visited_words")
+    out = np.zeros((A.nrows, nwords), dtype=np.uint64)
+    if A.n_tiles == 0 or k == 0:
+        note_active(counters, 0, 0)
+        return out
+    if counters is not None:
+        visits = A.n_tiles * plane_count(k, d)
+        active = visits
+        if skip:
+            if activity is None:
+                activity = batch_word_activity(xw, d, k)
+            planes = np.logical_or.reduceat(
+                activity, np.arange(0, k, d), axis=1
+            )
+            active = int(np.count_nonzero(planes[A.indices]))
+        note_active(counters, active, visits)
+    pl = A.plan()
+    index = pl.set_bits
+    if index.starts.size:
+        # Every index is in range, so ``clip`` only skips the bounds
+        # check (``raise`` would buffer the ``out=`` gather).
+        vals = np.take(
+            xw, index.gather, axis=0, mode="clip",
+            out=pl.set_bit_scratch(nwords),
+        )
+        out[index.rows] = np.bitwise_or.reduceat(
+            vals, index.starts, axis=0
+        )
+    out &= ~vw
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ overhead dominates the host wall-clock.
   the per-plane sentinel buffers the masked gather reads;
 * **set-bit index** — :class:`SetBitIndex`, the stored bits in CSR
   order as a ``(gather, starts, rows)`` triple, built on the first
-  min/max-semiring launch (the set-bit execution path of
-  :mod:`repro.kernels.bmv`);
+  min/max-semiring or bit-sliced boolean launch (the set-bit execution
+  paths of :mod:`repro.kernels.bmv`), not by :meth:`SweepPlan.warm`,
+  plus the set-bit sweep's reusable gather buffer;
 
 (The BMM contraction operand — the column-major tile repacking — is
 memoized on the matrix itself, :meth:`B2SRMatrix.colmajor_tiles`.)
@@ -63,7 +64,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.bitops.packing import unpack_bits_rowmajor
+from repro.bitops.packing import unpack_batch_words, unpack_bits_rowmajor
 from repro.bitops.segreduce import (
     SequentialFoldPlan,
     run_starts,
@@ -374,6 +375,17 @@ class SweepPlan:
             "sentinel", dtype, (k, A.n_tile_cols * A.tile_dim + 1)
         )
 
+    def set_bit_scratch(self, nwords: int) -> np.ndarray:
+        """Reusable ``(n_set_bits, nwords)`` ``uint64`` buffer the
+        bit-sliced boolean sweep gathers frontier words into (one row
+        per stored bit of :attr:`set_bits`).  Reusing it keeps a launch
+        from allocating, and page-faulting in, a fresh gather array of
+        every stored bit; the caller overwrites all of it each launch."""
+        return self._buffer(
+            "set_bits", np.dtype(np.uint64),
+            (self.set_bits.gather.size, nwords),
+        )
+
     def _buffer(
         self, kind: str, dtype: np.dtype, shape: tuple[int, int]
     ) -> np.ndarray:
@@ -429,6 +441,28 @@ def word_activity(xw: np.ndarray) -> np.ndarray:
     return (xw != 0).any(axis=1)
 
 
+def batch_word_activity(
+    xw: np.ndarray, tile_dim: int, k: int
+) -> np.ndarray:
+    """Per-(tile column, batch column) activity of batch-major words
+    (:func:`repro.bitops.packing.pack_batch_words`): the ``(n_tile_cols,
+    k)`` bool array whose ``[b, j]`` says whether vector ``j`` has a set
+    bit in column block ``b``.
+
+    ``xw`` is ``(ncols, ⌈k/64⌉)``; each block of ``d`` vertex rows is
+    OR-folded into one row of words and unpacked.  This is
+    :func:`word_activity`'s ``!= 0`` test of every vertex-major word
+    ``pack_bitmatrix(x, d)[b, j]``, so reducing its columns over a word
+    plane gives that plane's tile-sweep activity.
+    """
+    if xw.shape[0] == 0:
+        return np.zeros((0, k), dtype=bool)
+    blocks = np.bitwise_or.reduceat(
+        xw, np.arange(0, xw.shape[0], tile_dim), axis=0
+    )
+    return unpack_batch_words(blocks, k)
+
+
 def value_activity(
     xpad: np.ndarray, tile_dim: int, zero: float
 ) -> np.ndarray:
@@ -474,6 +508,7 @@ __all__ = [
     "SetBitIndex",
     "SweepChunk",
     "SweepPlan",
+    "batch_word_activity",
     "note_active",
     "value_activity",
     "word_activity",

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from repro.bitops.packing import (
+    pack_batch_words,
     pack_bitmatrix,
     pack_bitvector,
     plane_count,
     plane_slices,
+    unpack_batch_words,
     unpack_bitmatrix,
     unpack_bitvector,
 )
 from repro.datasets.generators import dot_pattern, hybrid_pattern
 from repro.engines import BitEngine, GraphBLASTEngine
+from repro.engines.bit import bmv_stats
+from repro.graph import Graph
 from repro.formats.b2sr import TILE_DIMS
 from repro.formats.convert import b2sr_from_dense
 from repro.kernels.bmv import (
@@ -22,6 +26,7 @@ from repro.kernels.bmv import (
     bmv_bin_bin_bin_masked,
     bmv_bin_bin_bin_multi,
     bmv_bin_bin_bin_multi_masked,
+    bmv_bin_bin_bin_sliced_masked,
     bmv_bin_bin_full,
     bmv_bin_bin_full_multi,
     bmv_bin_full_full,
@@ -383,6 +388,161 @@ class TestMultiKernels:
             A, np.zeros((A.n_tile_cols, 0), dtype=np.uint8)
         )
         assert Yw.shape == (A.n_tile_rows, 0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-sliced boolean sweep vs the tile sweep
+# ---------------------------------------------------------------------------
+SLICED_N = 101  # not a multiple of any tile dim
+
+
+def sliced_graph(kind: str) -> Graph:
+    """``"mixed"``: random edges among the first 90 vertices (91–100 are
+    isolated) plus duplicated edges and self-loops; ``"edgeless"``: no
+    edges at all."""
+    if kind == "edgeless":
+        return Graph.from_edges(SLICED_N, np.zeros((0, 2), dtype=np.int64))
+    rng = np.random.default_rng(7)
+    edges = rng.integers(0, 90, size=(260, 2))
+    loops = np.repeat(rng.choice(90, 12, replace=False), 2)[:, None]
+    edges = np.concatenate([edges, edges[:40], np.hstack([loops, loops])])
+    return Graph.from_edges(SLICED_N, edges)
+
+
+def sliced_widths(d: int) -> list[int]:
+    return sorted({1, 3, d, d + 1, 64, 65, 2 * d + 3})
+
+
+SLICED_CASES = [(d, k) for d in TILE_DIMS for k in sliced_widths(d)]
+
+
+class TileSweepEngine(BitEngine):
+    """The bit engine with the vertex-major tile sweep as its batched
+    expand — ``pack_bitmatrix`` → ``bmv_bin_bin_bin_multi_masked`` →
+    ``unpack_bitmatrix`` with the tile sweep's own counters and packed
+    word certificate — the reference the sliced sweep is held to."""
+
+    def frontier_expand_multi(self, frontiers, visiteds):
+        F, V = self._check_multi(frontiers, visiteds)
+        d = self.tile_dim
+        fw = pack_bitmatrix(F, d)
+        counters: dict = {}
+        use_skip = self._round_skip(
+            "expand_multi", "bin_bin_bin_masked", self._words_all_active(fw)
+        )
+        yw = bmv_bin_bin_bin_multi_masked(
+            self._At, fw, V, complement=True,
+            skip=use_skip, counters=counters,
+        )
+        self.add_kernel(
+            bmv_stats(
+                self._bmv_prices, self._At, "bin_bin_bin_masked",
+                self.device, locality=self._locality, k=F.shape[1],
+                active_tiles=self._bmv_active(use_skip, counters),
+            )
+        )
+        self._note_round("expand_multi", use_skip, counters)
+        self.algorithm_stats.host_us += 0.5
+        return unpack_bitmatrix(yw, d, self.n).astype(bool)
+
+
+class TestSlicedExpand:
+    @pytest.mark.parametrize("kind", ("mixed", "edgeless"))
+    @pytest.mark.parametrize("skip", (True, False))
+    @pytest.mark.parametrize(("d", "k"), SLICED_CASES)
+    def test_kernel_equals_tile_sweep(self, d, k, skip, kind):
+        A = sliced_graph(kind).b2sr_t(d)
+        rng = np.random.default_rng(d * 1000 + k)
+        F = rng.random((SLICED_N, k)) < rng.random(k) * 0.3
+        F[:, 0] = False  # an empty frontier column
+        V = rng.random((SLICED_N, k)) < 0.4
+        c_tile: dict = {}
+        c_sliced: dict = {}
+        ref = unpack_bitmatrix(
+            bmv_bin_bin_bin_multi_masked(
+                A, pack_bitmatrix(F, d), V, complement=True,
+                skip=skip, counters=c_tile,
+            ),
+            d, SLICED_N,
+        ).astype(bool)
+        yw = bmv_bin_bin_bin_sliced_masked(
+            A, pack_batch_words(F), pack_batch_words(V), k,
+            skip=skip, counters=c_sliced,
+        )
+        assert np.array_equal(unpack_batch_words(yw, k), ref)
+        assert c_sliced == c_tile
+
+    @pytest.mark.parametrize("kind", ("mixed", "edgeless"))
+    @pytest.mark.parametrize("skip_inactive", (True, False, "auto"))
+    @pytest.mark.parametrize(("d", "k"), SLICED_CASES)
+    def test_multi_source_bfs_equals_tile_sweep(
+        self, d, k, skip_inactive, kind
+    ):
+        from repro.algorithms import multi_source_bfs
+
+        g = sliced_graph(kind)
+        sources = np.random.default_rng(k).integers(0, SLICED_N, k)
+        sliced = BitEngine(g, tile_dim=d, skip_inactive=skip_inactive)
+        tile = TileSweepEngine(g, tile_dim=d, skip_inactive=skip_inactive)
+        depth, rep = multi_source_bfs(sliced, sources)
+        ref_depth, ref_rep = multi_source_bfs(tile, sources)
+        assert np.array_equal(depth, ref_depth)
+        assert rep == ref_rep
+        assert sliced.auto_dense_rounds == tile.auto_dense_rounds
+
+    def test_auto_certifies_dense_rounds(self):
+        """The auto policy's dense rounds (certified fully active) are
+        taken on the same rounds as with the tile sweep — and do occur."""
+        from repro.algorithms import multi_source_bfs
+
+        g = dot_pattern(256, 0.05, seed=2)
+        sources = np.random.default_rng(0).choice(g.n, 16, replace=False)
+        for d in (16, 32):
+            sliced = BitEngine(g, tile_dim=d)
+            tile = TileSweepEngine(g, tile_dim=d)
+            _, rep = multi_source_bfs(sliced, sources)
+            _, ref_rep = multi_source_bfs(tile, sources)
+            assert rep == ref_rep
+            assert sliced.auto_dense_rounds == tile.auto_dense_rounds > 0
+
+    def test_activity_is_per_tile_plane_not_per_word(self):
+        """At d=4 a 40-wide batch spans ten 4-column planes inside one
+        64-bit word; only plane 1 (column 5) is active, and only in
+        column block 0, so exactly block 0's tiles count, once."""
+        g = sliced_graph("mixed")
+        A = g.b2sr_t(4)
+        k = 40
+        F = np.zeros((SLICED_N, k), dtype=bool)
+        F[:4, 5] = True
+        V = np.zeros_like(F)
+        c_tile: dict = {}
+        c_sliced: dict = {}
+        bmv_bin_bin_bin_multi_masked(
+            A, pack_bitmatrix(F, 4), V, complement=True, skip=True,
+            counters=c_tile,
+        )
+        bmv_bin_bin_bin_sliced_masked(
+            A, pack_batch_words(F), pack_batch_words(V), k,
+            skip=True, counters=c_sliced,
+        )
+        block0 = int(np.count_nonzero(A.indices == 0))
+        assert block0 > 0
+        expected = {
+            "active_tiles": float(block0),
+            "tile_visits": float(A.n_tiles * 10),
+        }
+        assert c_tile == expected
+        assert c_sliced == expected
+
+    def test_operand_validation(self):
+        A = sliced_graph("mixed").b2sr_t(8)
+        ok = np.zeros((SLICED_N, 1), dtype=np.uint64)
+        with pytest.raises(ValueError):
+            bmv_bin_bin_bin_sliced_masked(A, ok[:-1], ok, 3)
+        with pytest.raises(ValueError):
+            bmv_bin_bin_bin_sliced_masked(A, ok, ok, 65)
+        with pytest.raises(ValueError):
+            bmv_bin_bin_bin_sliced_masked(A, ok.astype(np.int64), ok, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitops.intrinsics import dtype_for_width
 from repro.bitops.packing import (
+    batch_word_count,
     nibble_pack,
     nibble_unpack,
+    pack_batch_words,
+    pack_bitmatrix,
     pack_bits_colmajor,
     pack_bits_rowmajor,
     pack_bitvector,
     transpose_packed,
+    unpack_batch_words,
+    unpack_bitmatrix,
     unpack_bits_colmajor,
     unpack_bits_rowmajor,
     unpack_bitvector,
@@ -147,6 +153,118 @@ class TestBitvector:
         words = pack_bitvector(np.zeros(0), 8)
         assert words.shape == (0,)
         assert unpack_bitvector(words, 8, 0).shape == (0,)
+
+
+def oracle_pack(x, d):
+    """Weighted-sum packing of the columns of ``x`` (``(n, k)``) into
+    ``(ceil(n / d), k)`` words: word ``w`` of column ``j`` is
+    ``sum_b x[w*d + b, j] << b``."""
+    n, k = x.shape
+    nwords = -(-n // d)
+    bits = np.zeros((nwords * d, k), dtype=np.uint64)
+    bits[:n] = x != 0
+    weights = np.uint64(1) << np.arange(d, dtype=np.uint64)
+    words = (bits.reshape(nwords, d, k) * weights[:, None]).sum(
+        axis=1, dtype=np.uint64
+    )
+    return words.astype(dtype_for_width(d))
+
+
+def oracle_unpack(words, d, n):
+    """Shift-and-mask inverse of :func:`oracle_pack` (bits at or above
+    ``d`` are ignored), as uint8 0/1 of shape ``(n, k)``."""
+    w = np.asarray(words, dtype=np.uint64)
+    shifts = np.arange(d, dtype=np.uint64)
+    bits = (w[:, None, :] >> shifts[:, None]) & np.uint64(1)
+    return bits.reshape(-1, w.shape[1])[:n].astype(np.uint8)
+
+
+CODEC_WIDTHS = (1, 7, 8, 9, 33, 64, 65)
+
+
+class TestCodecsAgainstWeightedSum:
+    """The ``np.packbits`` codecs emit exactly the words of the plain
+    weighted-sum formulation, at every tile width and batch width and
+    for vector lengths that are not a multiple of the tile width."""
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("k", CODEC_WIDTHS)
+    def test_pack_bitmatrix(self, d, k):
+        rng = np.random.default_rng(d * 100 + k)
+        n = 5 * d + 3
+        x = (rng.random((n, k)) < 0.4) * rng.integers(-3, 4, (n, k))
+        words = pack_bitmatrix(x, d)
+        ref = oracle_pack(x, d)
+        assert words.dtype == ref.dtype and words.shape == ref.shape
+        assert np.array_equal(words, ref)
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("k", CODEC_WIDTHS)
+    def test_unpack_bitmatrix(self, d, k):
+        rng = np.random.default_rng(d * 100 + k + 1)
+        n = 5 * d + 3
+        # Arbitrary words, high bits included: they must be ignored.
+        words = rng.integers(0, 2**63, (-(-n // d), k), dtype=np.uint64)
+        bits = unpack_bitmatrix(words.astype(dtype_for_width(d)), d, n)
+        assert bits.dtype == np.uint8 and bits.shape == (n, k)
+        assert np.array_equal(bits, oracle_unpack(words, d, n))
+        assert np.array_equal(unpack_bitmatrix(words, d, n), bits)
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("n", (1, 3, 29, 101))
+    def test_bitvector_codecs(self, d, n):
+        rng = np.random.default_rng(d * 1000 + n)
+        v = (rng.random(n) < 0.5) * rng.random(n)
+        words = pack_bitvector(v, d)
+        ref = oracle_pack(v[:, None], d)[:, 0]
+        assert words.dtype == ref.dtype and np.array_equal(words, ref)
+        raw = rng.integers(0, 2**63, words.shape, dtype=np.uint64)
+        bits = unpack_bitvector(raw, d, n)
+        assert bits.dtype == np.uint8 and bits.shape == (n,)
+        assert np.array_equal(bits, oracle_unpack(raw[:, None], d, n)[:, 0])
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_zero_width_and_empty(self, d):
+        assert pack_bitmatrix(np.zeros((d + 1, 0)), d).shape == (2, 0)
+        assert unpack_bitmatrix(
+            np.zeros((2, 0), np.uint64), d, d + 1
+        ).shape == (d + 1, 0)
+        assert pack_bitmatrix(np.zeros((0, 3)), d).shape == (0, 3)
+        assert unpack_bitmatrix(
+            np.zeros((0, 3), np.uint64), d, 0
+        ).shape == (0, 3)
+
+
+class TestBatchWords:
+    @pytest.mark.parametrize("k", (0,) + CODEC_WIDTHS + (130,))
+    def test_bit_j_of_vertex_v(self, k):
+        rng = np.random.default_rng(k)
+        n = 37
+        x = rng.random((n, k)) < 0.5
+        words = pack_batch_words(x)
+        assert words.dtype == np.uint64
+        assert words.shape == (n, batch_word_count(k))
+        for j in range(k):
+            bit = (words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
+            assert np.array_equal(bit.astype(bool), x[:, j])
+        # The unused high bits of the last word stay clear.
+        if k % 64:
+            assert not (words[:, -1] >> np.uint64(k % 64)).any()
+        out = unpack_batch_words(words, k)
+        assert out.dtype == bool and np.array_equal(out, x)
+
+    def test_nonzero_binarizes(self):
+        assert pack_batch_words(np.array([[2, 0, -1]]))[0, 0] == 0b101
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            pack_batch_words(np.zeros(4))
+        with pytest.raises(ValueError):
+            unpack_batch_words(np.zeros((3, 1), np.uint64), 65)
+        with pytest.raises(ValueError):
+            unpack_batch_words(np.zeros((3, 1), np.uint32), 5)
+        with pytest.raises(ValueError):
+            batch_word_count(-1)
 
 
 class TestNibblePacking:
