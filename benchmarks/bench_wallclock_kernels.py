@@ -20,8 +20,9 @@ set-bit path of the min/max semirings.  The ``*_arithmetic`` cases time
 PageRank's tile sweep (the fused masked gather) on the same matrix, and
 ``bmv_bin_bin_bin_masked`` BFS's masked boolean pull at ``k = 1``.
 ``frontier_expand_multi`` times the bit engine's batched BFS level on
-the same matrix: one case replays every level (frontier and visited
-columns) recorded from a seeded ``k``-source ``multi_source_bfs``.
+the same matrix: one case replays every level (batch-major frontier and
+visited words) recorded from a seeded ``k``-source ``multi_source_bfs``;
+``frontier_expand`` replays every level of a single-source ``bfs``.
 """
 
 import numpy as np
@@ -158,35 +159,74 @@ def test_wallclock_bmv_bin_bin_bin_masked(benchmark, hybrid, json_report):
     )
 
 
+def record_levels(engine, name: str, run) -> tuple:
+    """Run ``run()`` with ``engine.<name>`` recording a copy of every
+    call's arguments; returns the real method and the recorded calls."""
+    real = getattr(engine, name)
+    levels = []
+
+    def record(*args):
+        levels.append(
+            tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+        )
+        return real(*args)
+
+    setattr(engine, name, record)
+    try:
+        run()
+    finally:
+        delattr(engine, name)
+    return real, levels
+
+
+def replay_levels(benchmark, engine, real, levels) -> None:
+    def replay():
+        engine.reset_stats()
+        for args in levels:
+            real(*args)
+
+    benchmark(replay)
+
+
 @pytest.mark.parametrize("k", (1, 8, 32))
 def test_wallclock_frontier_expand_multi(benchmark, hybrid, json_report, k):
-    """Every level of a seeded k-source BFS, replayed through the engine."""
+    """Every level (batch-major frontier and visited words) of a seeded
+    k-source BFS, replayed through the engine."""
     from repro.algorithms import multi_source_bfs
 
     g, _ = hybrid
     engine = BitEngine(g, tile_dim=32)
-    levels = []
-    expand = engine.frontier_expand_multi
-
-    def record(frontiers, visiteds):
-        levels.append((frontiers.copy(), visiteds.copy()))
-        return expand(frontiers, visiteds)
-
-    engine.frontier_expand_multi = record
     sources = np.random.default_rng(k).choice(g.n, k, replace=False)
-    multi_source_bfs(engine, sources)
-    del engine.frontier_expand_multi
-
-    def replay():
-        engine.reset_stats()
-        for frontiers, visiteds in levels:
-            expand(frontiers, visiteds)
-
-    benchmark(replay)
+    real, levels = record_levels(
+        engine, "frontier_expand_multi",
+        lambda: multi_source_bfs(engine, sources),
+    )
+    replay_levels(benchmark, engine, real, levels)
     emit_benchmark(
         json_report, benchmark, "frontier_expand_multi",
         graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=k,
         levels=len(levels),
+    )
+
+
+@pytest.mark.parametrize("skip_inactive", (False, "auto"))
+def test_wallclock_frontier_expand(
+    benchmark, hybrid, json_report, skip_inactive
+):
+    """Every level of a single-source BFS from vertex 0, replayed
+    through the engine's k = 1 expand."""
+    from repro.algorithms import bfs
+
+    g, _ = hybrid
+    engine = BitEngine(g, tile_dim=32, skip_inactive=skip_inactive)
+    real, levels = record_levels(
+        engine, "frontier_expand", lambda: bfs(engine, 0)
+    )
+    replay_levels(benchmark, engine, real, levels)
+    emit_benchmark(
+        json_report, benchmark, "frontier_expand",
+        graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=1,
+        skip_inactive=skip_inactive, levels=len(levels),
     )
 
 

@@ -1,20 +1,28 @@
 """Breadth-first search (§V BFS), single- and multi-source.
 
-Boolean semiring.  Each iteration performs one masked vxm — a single
-``bmv_bin_bin_bin_masked`` launch on the bit backend, where the visited
-mask is ANDed in right before the output store (the paper explicitly avoids
-GraphBLAST's early-exit because it causes warp divergence inside a tile
-row).  :func:`multi_source_bfs` advances ``k`` sources in lockstep: on the
-bit backend each level is one ``bmv_bin_bin_bin_sliced_masked`` launch over
-bit-sliced frontiers (one ``uint64`` word per vertex carries 64 of the
-traversals), priced as the batched tile sweep ``bmv_bin_bin_bin_multi_masked``
-— still one launch per level, however many traversals are in flight.
+Boolean semiring.  Each iteration performs one masked vxm — one masked
+boolean BMV launch on the bit backend, where the visited mask is ANDed in
+right before the output store (the paper explicitly avoids GraphBLAST's
+early-exit because it causes warp divergence inside a tile row), priced
+as the tile sweep over every stored tile.  :func:`multi_source_bfs`
+advances ``k`` sources in lockstep and keeps its frontier and visited
+state as bit-sliced, batch-major ``uint64`` words for the whole traversal
+(:func:`repro.bitops.packing.pack_batch_words`: bit ``j`` of a vertex's
+words is traversal ``j``), handing them to
+:meth:`~repro.engines.base.Engine.frontier_expand_multi` level after
+level and writing depths only for the rows a level reached — still one
+launch per level, however many traversals are in flight.  On the bit
+backend both BFS forms run
+:func:`~repro.kernels.bmv.bmv_bin_bin_bin_sliced_masked`, which pushes
+from a sparse frontier and pulls over every stored bit from a dense one;
+the route changes host time only, never the answer or the modeled cost.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.bitops.packing import pack_batch_words, unpack_batch_words
 from repro.engines.base import Engine, EngineReport
 
 
@@ -69,9 +77,10 @@ def multi_source_bfs(
 
     All sources advance one level per iteration through a single batched
     frontier expansion (:meth:`repro.engines.base.Engine.frontier_expand_multi`
-    — one kernel sweep per level on the bit backend, however many sources
-    are in flight).  Sources whose traversal has finished simply carry an
-    empty frontier column until the last one drains.
+    on batch-major words — one kernel sweep per level on the bit backend,
+    however many sources are in flight).  Sources whose traversal has
+    finished simply carry an empty frontier bit until the last one
+    drains.
 
     Returns
     -------
@@ -96,20 +105,24 @@ def multi_source_bfs(
 
     cols = np.arange(k)
     depth = np.full((n, k), -1, dtype=np.int64)
-    visited = np.zeros((n, k), dtype=bool)
-    frontier = np.zeros((n, k), dtype=bool)
     depth[src, cols] = 0
-    visited[src, cols] = True
-    frontier[src, cols] = True
+    start = np.zeros((n, k), dtype=bool)
+    start[src, cols] = True
+    frontier = pack_batch_words(start)
+    visited = frontier.copy()
 
     level = 0
-    while frontier.any() and level < max_iterations:
+    while level < max_iterations:
         level += 1
         engine.note_iteration()
-        nxt = engine.frontier_expand_multi(frontier, visited)
-        if not nxt.any():
+        nxt = engine.frontier_expand_multi(frontier, visited, k)
+        rows = nxt.any(axis=1).nonzero()[0]
+        if rows.size == 0:
             break
-        depth[nxt] = level
+        # Only the rows some traversal reached get their depths written.
+        reached = depth[rows]
+        reached[unpack_batch_words(nxt[rows], k)] = level
+        depth[rows] = reached
         visited |= nxt
         frontier = nxt
 

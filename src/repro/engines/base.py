@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bitops.packing import (
+    batch_word_count,
+    pack_batch_words,
+    unpack_batch_words,
+)
 from repro.graph import Graph
 from repro.gpusim.counters import KernelStats
 from repro.gpusim.device import GTX1080, DeviceSpec
@@ -135,21 +140,28 @@ class Engine:
     # Batched (multi-vector) operations
     # ------------------------------------------------------------------
     def frontier_expand_multi(
-        self, frontiers: np.ndarray, visiteds: np.ndarray
+        self, frontiers: np.ndarray, visiteds: np.ndarray, k: int
     ) -> np.ndarray:
-        """Batched :meth:`frontier_expand`: column ``j`` of the ``(n, k)``
-        inputs is an independent frontier/visited pair, and column ``j``
-        of the result equals ``frontier_expand(frontiers[:, j],
-        visiteds[:, j])``.
+        """Batched :meth:`frontier_expand` on bit-sliced state.
 
-        The default runs ``k`` single expansions; backends with a batched
-        kernel (one tile sweep serving every column) override this.
+        ``frontiers`` and ``visiteds`` are ``k`` frontier/visited pairs
+        as batch-major words (:func:`repro.bitops.packing
+        .pack_batch_words`: ``(n, ⌈k/64⌉)`` ``uint64``, bit ``j`` of a
+        vertex's words is pair ``j``), and so is the result: its batch
+        column ``j`` equals ``frontier_expand(frontier_j, visited_j)``.
+        Keeping the words across levels spares a traversal the pack and
+        unpack of ``(n, k)`` bool arrays at every level.
+
+        The default unpacks, runs ``k`` single expansions and packs the
+        result; backends with a batched kernel override this.
         """
-        F, V = self._check_multi(frontiers, visiteds)
+        fw, vw = self._check_multi(frontiers, visiteds, k)
+        F = unpack_batch_words(fw, k)
+        V = unpack_batch_words(vw, k)
         out = np.zeros(F.shape, dtype=bool)
-        for j in range(F.shape[1]):
+        for j in range(k):
             out[:, j] = self.frontier_expand(F[:, j], V[:, j])
-        return out
+        return pack_batch_words(out)
 
     def pull_multi(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
         """Batched :meth:`pull` over the columns of the ``(n, k)`` operand.
@@ -169,16 +181,14 @@ class Engine:
         return out
 
     def _check_multi(
-        self, frontiers: np.ndarray, visiteds: np.ndarray
+        self, frontiers: np.ndarray, visiteds: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        F = np.asarray(frontiers)
-        V = np.asarray(visiteds)
-        if F.ndim != 2 or F.shape[0] != self.n:
-            raise ValueError(
-                f"expected ({self.n}, k) frontiers, got shape {F.shape}"
-            )
-        if V.shape != F.shape:
-            raise ValueError(
-                f"visiteds shape {V.shape} must match frontiers {F.shape}"
-            )
-        return F.astype(bool, copy=False), V.astype(bool, copy=False)
+        shape = (self.n, batch_word_count(k))
+        words = (np.asarray(frontiers), np.asarray(visiteds))
+        for w, what in zip(words, ("frontiers", "visiteds")):
+            if w.shape != shape or w.dtype != np.uint64:
+                raise ValueError(
+                    f"{what} must be batch-major uint64 words of shape "
+                    f"{shape} for k={k}, got {w.dtype} {w.shape}"
+                )
+        return words

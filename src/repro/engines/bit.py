@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-# ``pack_bitmatrix``, ``unpack_bitmatrix`` and
-# ``bmv_bin_bin_bin_multi_masked`` are no longer called here, but the
-# traced benchmark (perfbench/layers.py) wraps them by name in this
-# module, so they stay bound.
+# The packing codecs, ``bmv_bin_bin_bin_masked`` and
+# ``bmv_bin_bin_bin_multi_masked`` are no longer called here (both BFS
+# expands run the bit-sliced set-bit sweep), but the traced benchmark
+# (perfbench/layers.py) wraps them by name in this module, so they stay
+# bound.
 from repro.bitops.packing import (
     pack_batch_words,
     pack_bitmatrix,  # noqa: F401
-    pack_bitvector,
-    unpack_batch_words,
+    pack_bitvector,  # noqa: F401
     unpack_bitmatrix,  # noqa: F401
-    unpack_bitvector,
+    unpack_bitvector,  # noqa: F401
 )
 from repro.formats.b2sr import B2SRMatrix
 from repro.formats.stats import bandwidth_profile
@@ -30,7 +30,7 @@ from repro.gpusim.device import GTX1080, DeviceSpec
 from repro.engines.base import Engine
 from repro.kernels.bmm import bmm_bin_bin_sum_masked, bmm_pair_count
 from repro.kernels.bmv import (
-    bmv_bin_bin_bin_masked,
+    bmv_bin_bin_bin_masked,  # noqa: F401
     bmv_bin_bin_bin_multi_masked,  # noqa: F401
     bmv_bin_bin_bin_sliced_masked,
     bmv_bin_full_full,
@@ -42,7 +42,7 @@ from repro.kernels.costmodel import (
     bmv_skip_crossover,
     ewise_dense_stats,
 )
-from repro.kernels.plan import batch_word_activity
+from repro.kernels.plan import batch_block_words
 from repro.semiring import Semiring, value_dtype
 
 
@@ -215,10 +215,17 @@ class BitEngine(Engine):
             )
 
     @staticmethod
-    def _words_all_active(fw: np.ndarray):
-        """Certificate for the binary schemes: every packed word
-        non-zero ⇒ every (tile column, word plane) visit is active."""
-        return lambda: bool(fw.all())
+    def _blocks_all_active(blocks: np.ndarray, k: int):
+        """Certificate for the boolean expands: every one of the ``k``
+        bits set in every column block's word
+        (:func:`~repro.kernels.plan.batch_block_words`) ⇒ every (tile
+        column, batch column) — hence every tile visit — is active."""
+
+        def certify() -> bool:
+            full = pack_batch_words(np.ones((1, k), dtype=bool))
+            return bool(((blocks & full) == full).all())
+
+        return certify
 
     @staticmethod
     def _values_all_active(X: np.ndarray, zero: float):
@@ -248,31 +255,17 @@ class BitEngine(Engine):
     def frontier_expand(
         self, frontier: np.ndarray, visited: np.ndarray
     ) -> np.ndarray:
-        d = self.tile_dim
-        # Frontiers arrive as bool vectors; pack_bitvector binarizes any
-        # dtype, so no float32 round-trip copy is needed.
-        fw = pack_bitvector(frontier, d)
-        counters: dict = {}
-        use_skip = self._round_skip(
-            "expand", "bin_bin_bin_masked", self._words_all_active(fw)
-        )
-        yw = bmv_bin_bin_bin_masked(
-            self._At, fw, visited, complement=True,
-            skip=use_skip, counters=counters,
-        )
-        self.add_kernel(
-            bmv_stats(
-                self._bmv_prices, self._At, "bin_bin_bin_masked", self.device,
-                locality=self._locality,
-                active_tiles=self._bmv_active(use_skip, counters),
-            )
-        )
-        self._note_round("expand", use_skip, counters)
-        # The visited/depth update is fused into the masked BMV's output
-        # store (§V: the bitmask is applied right before the store), so the
-        # iteration costs a single launch plus an amortized emptiness check.
-        self.algorithm_stats.host_us += 0.5
-        return unpack_bitvector(yw, d, self.n).astype(bool)
+        """One BFS level: the ``k = 1`` column of
+        :meth:`frontier_expand_multi` (frontiers of any dtype binarize
+        as ``!= 0``)."""
+        vecs = (np.asarray(frontier), np.asarray(visited))
+        for v, what in zip(vecs, ("frontier", "visited")):
+            if v.shape != (self.n,):
+                raise ValueError(
+                    f"{what} must have shape ({self.n},), got {v.shape}"
+                )
+        fw, vw = ((v != 0).astype(np.uint64)[:, None] for v in vecs)
+        return self._expand_words("expand", fw, vw, 1)[:, 0] != 0
 
     def pull(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
         # float64 payloads (numeric labels) keep their precision; anything
@@ -305,34 +298,43 @@ class BitEngine(Engine):
         return y
 
     def frontier_expand_multi(
-        self, frontiers: np.ndarray, visiteds: np.ndarray
+        self, frontiers: np.ndarray, visiteds: np.ndarray, k: int
     ) -> np.ndarray:
         """Batched masked BMV: one sweep expands all ``k`` frontiers.
 
-        Each level runs the boolean scheme's set-bit sweep,
-        :func:`~repro.kernels.bmv.bmv_bin_bin_bin_sliced_masked`, on
-        bit-sliced frontiers — one ``uint64`` word per vertex and 64
-        traversals — so the level needs no vertex-major pack, mask pack
-        or unpack.  It is still one launch per level, priced and
+        Frontiers, visited sets and the result are batch-major words
+        (:meth:`Engine.frontier_expand_multi`).  Each level runs the
+        boolean scheme's set-bit sweep,
+        :func:`~repro.kernels.bmv.bmv_bin_bin_bin_sliced_masked` — a
+        frontier-sparse push or a pull over every stored bit, whichever
+        touches less — so the level needs no vertex-major pack, mask
+        pack or unpack.  It is still one launch per level, priced and
         skip-accounted exactly as the tile sweep
-        ``bmv_bin_bin_bin_multi_masked`` it replaces: the (tile column ×
-        batch column) activity is computed once and yields both the
-        ``"auto"`` certificate and the per-plane counters.
+        ``bmv_bin_bin_bin_multi_masked``: the column blocks' OR-ed words
+        (:func:`~repro.kernels.plan.batch_block_words`) are computed once
+        and yield both the ``"auto"`` certificate and the per-plane
+        counters.
         """
-        F, V = self._check_multi(frontiers, visiteds)
-        k = F.shape[1]
-        fw = pack_batch_words(F)
-        act = (
+        fw, vw = self._check_multi(frontiers, visiteds, k)
+        return self._expand_words("expand_multi", fw, vw, k)
+
+    def _expand_words(
+        self, op: str, fw: np.ndarray, vw: np.ndarray, k: int
+    ) -> np.ndarray:
+        """The BFS level both expands share; ``op`` keys the ``"auto"``
+        skip predictor, so single and batched traversals keep their own
+        history."""
+        blocks = (
             None if self.skip_inactive is False
-            else batch_word_activity(fw, self.tile_dim, k)
+            else batch_block_words(fw, self.tile_dim)
         )
         counters: dict = {}
         use_skip = self._round_skip(
-            "expand_multi", "bin_bin_bin_masked", lambda: bool(act.all())
+            op, "bin_bin_bin_masked", self._blocks_all_active(blocks, k)
         )
         yw = bmv_bin_bin_bin_sliced_masked(
-            self._At, fw, pack_batch_words(V), k,
-            activity=act, skip=use_skip, counters=counters,
+            self._At, fw, vw, k,
+            blocks=blocks, skip=use_skip, counters=counters,
         )
         self.add_kernel(
             bmv_stats(
@@ -341,9 +343,12 @@ class BitEngine(Engine):
                 active_tiles=self._bmv_active(use_skip, counters),
             )
         )
-        self._note_round("expand_multi", use_skip, counters)
+        self._note_round(op, use_skip, counters)
+        # The visited/depth update is fused into the masked BMV's output
+        # store (§V: the bitmask is applied right before the store), so the
+        # iteration costs a single launch plus an amortized emptiness check.
         self.algorithm_stats.host_us += 0.5
-        return unpack_batch_words(yw, k)
+        return yw
 
     def pull_multi(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
         """Batched semiring pull: one ``bmv_bin_full_full_multi`` sweep

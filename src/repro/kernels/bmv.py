@@ -100,20 +100,33 @@ fold order is the contract.  The kernels report the tile sweep's
 ``active_tiles`` / ``tile_visits`` on either path, so the modeled cost
 is independent of the host strategy.
 
-The boolean scheme takes the same route for batched BFS,
+The boolean scheme takes the same route for BFS,
 :func:`bmv_bin_bin_bin_sliced_masked`, on *batch-major* words
 (:func:`repro.bitops.packing.pack_batch_words`): bit ``j`` of vertex
 ``v``'s word is column ``j`` of the ``(n, k)`` frontier, ``⌈k/64⌉``
 ``uint64`` words per vertex — the bit-sliced frontier of multi-source
-BFS (MS-BFS).  One level gathers the frontier words at every stored
-bit, OR-folds each output row's run with one ``reduceat``, scatters into
-a zeroed output and clears the visited words, all ``k`` traversals 64 to
-a word op, with no vertex-major pack, mask pack or unpack.  OR on bits is
-exact, idempotent and order-free, so no operand needs the NaN / ``-0.0``
-guard of the min/max path and every bit equals the tile sweep's.  Its
-counters are again the tile sweep's, counted per ``d``-wide word plane
-from one (tile column × batch column) activity array; with ``skip``
-they change, the work does not.
+BFS (MS-BFS); a single-source BFS is its ``k = 1`` column.  A level
+takes one of two routes, the direction-optimizing choice of Beamer et
+al. (SC'12) made for host time only:
+
+* **pull** — gather the frontier words at every stored bit (CSR order),
+  OR-fold each output row's run with one ``reduceat`` and scatter into a
+  zeroed output;
+* **push** — take the vertices whose frontier word is non-zero, expand
+  their runs in the column-order index
+  (:class:`~repro.kernels.plan.ColumnBitIndex`) and OR their words into
+  the rows they reach with ``np.bitwise_or.at``, touching only the
+  frontier's stored bits.
+
+Push is taken when the frontier's columns hold at most
+:data:`_PUSH_SHARE` of the stored bits.  Both routes then clear the
+visited words, all ``k`` traversals 64 to a word op, with no
+vertex-major pack, mask pack or unpack.  OR on bits is exact, idempotent
+and order-free, so both routes give the same words, no operand needs the
+NaN / ``-0.0`` guard of the min/max path, and every bit equals the tile
+sweep's.  The counters are again the tile sweep's — whatever the route —
+counted per ``d``-wide word plane from the column blocks' OR-ed words;
+with ``skip`` they change, the work does not.
 
 The only Python-level loops are the tile-chunk loops bounding dense-unpack
 scratch (``_CHUNK_TILES`` elements per plane) and, in the semiring tile
@@ -135,7 +148,8 @@ from repro.bitops.packing import (
 from repro.formats.b2sr import B2SRMatrix
 from repro.kernels.plan import (
     SweepPlan,
-    batch_word_activity,
+    batch_block_words,
+    batch_plane_activity,
     note_active,
     value_activity,
     word_activity,
@@ -147,6 +161,16 @@ from repro.semiring import ARITHMETIC, Semiring, value_dtype
 #: stripe plane-by-plane over each resident chunk — so peak scratch stays
 #: at roughly chunk × d² floats regardless of the batch size.
 _CHUNK_TILES = 8192
+
+#: The boolean set-bit sweep pushes (:func:`_sliced_push`) when the
+#: frontier's columns hold at most this share of the stored bits, and
+#: pulls over every stored bit (:func:`_sliced_pull`) otherwise.  On
+#: ``hybrid_pattern(2048, seed=4)`` at B2SR-32 (33,135 stored bits;
+#: 2-vCPU Intel Xeon, NumPy 2.4) the routes cross at ~15% of the stored
+#: bits for k = 1 and k = 32: push 20 µs against 74 µs for pull at 1%,
+#: 420 µs against 74 µs at 100%.  With two words per vertex (k = 128)
+#: they cross at ~11%.
+_PUSH_SHARE = 0.15
 
 
 def _check_vec_words(A: B2SRMatrix, x_words: np.ndarray) -> np.ndarray:
@@ -436,13 +460,58 @@ def _check_batch_words(
     return w
 
 
+def _sliced_pull(pl: SweepPlan, xw: np.ndarray, out: np.ndarray) -> None:
+    """Pull route of the boolean set-bit sweep: gather the frontier word
+    at every stored bit (:attr:`SweepPlan.set_bits`, CSR order) and
+    OR-fold each row's run into ``out`` with one ``reduceat``."""
+    index = pl.set_bits
+    if index.starts.size:
+        # Every index is in range, so ``clip`` only skips the bounds
+        # check (``raise`` would buffer the ``out=`` gather).
+        vals = np.take(
+            xw, index.gather, axis=0, mode="clip",
+            out=pl.set_bit_scratch(xw.shape[1]),
+        )
+        out[index.rows] = np.bitwise_or.reduceat(
+            vals, index.starts, axis=0
+        )
+
+
+def _sliced_push(
+    pl: SweepPlan, xw: np.ndarray, cols: np.ndarray, out: np.ndarray
+) -> None:
+    """Push route of the boolean set-bit sweep: expand the runs of the
+    columns ``cols`` (the vertices whose frontier word is non-zero) in
+    the column-order index (:attr:`SweepPlan.set_bit_columns`) and OR
+    each column's word into the rows it reaches.  Only those columns'
+    stored bits are touched."""
+    index = pl.set_bit_columns
+    lo = index.ptr[cols]
+    lengths = index.ptr[cols + 1] - lo
+    ends = np.cumsum(lengths)
+    if ends.size == 0 or ends[-1] == 0:
+        return
+    # Position of every active stored bit in ``index.rows``: run i
+    # covers lo[i] … lo[i] + lengths[i] - 1.
+    pos = np.arange(ends[-1]) + np.repeat(lo - ends + lengths, lengths)
+    rows = index.rows[pos]
+    nwords = out.shape[1]
+    if nwords > 1:
+        # Word w of row r is flat slot r·nwords + w of ``out`` (in intp:
+        # the int32 rows times nwords may not fit in int32).
+        rows = rows.astype(np.intp)[:, None] * nwords + np.arange(nwords)
+        rows = rows.reshape(-1)
+    vals = np.repeat(xw[cols], lengths, axis=0)
+    np.bitwise_or.at(out.reshape(-1), rows, vals.reshape(-1))  # repro-lint: ignore[hot-path-scatter] — push route: OR is exact and order-free, and the scatter touches only the frontier's stored bits (measured faster than a fold below _PUSH_SHARE)
+
+
 def bmv_bin_bin_bin_sliced_masked(
     A: B2SRMatrix,
     x_words: np.ndarray,
     visited_words: np.ndarray,
     k: int,
     *,
-    activity: np.ndarray | None = None,
+    blocks: np.ndarray | None = None,
     skip: bool = False,
     counters: dict | None = None,
 ) -> np.ndarray:
@@ -457,12 +526,15 @@ def bmv_bin_bin_bin_sliced_masked(
     ``bmv_bin_bin_bin_multi_masked(A, X, visited, complement=True)``:
     the rows reached from frontier ``j`` that it has not visited.
 
-    The sweep does the same work whatever ``skip`` is; ``counters``
+    A launch pushes from the frontier's vertices when their columns hold
+    at most :data:`_PUSH_SHARE` of the stored bits and pulls over every
+    stored bit otherwise (module docstring); both routes give the same
+    words.  The sweep does the same work whatever ``skip`` is; ``counters``
     receive what the tile sweep would report — ``n_tiles`` visits per
     word plane, and with ``skip=True`` as active the stored tiles whose
-    column block holds a set bit in the plane.  ``activity`` may pass in
-    :func:`repro.kernels.plan.batch_word_activity` of ``x_words`` when
-    the caller has already computed it.
+    column block holds a set bit in the plane.  ``blocks`` may pass in
+    :func:`repro.kernels.plan.batch_block_words` of ``x_words`` when the
+    caller has already computed it.
     """
     d = A.tile_dim
     nwords = batch_word_count(k)
@@ -476,25 +548,22 @@ def bmv_bin_bin_bin_sliced_masked(
         visits = A.n_tiles * plane_count(k, d)
         active = visits
         if skip:
-            if activity is None:
-                activity = batch_word_activity(xw, d, k)
-            planes = np.logical_or.reduceat(
-                activity, np.arange(0, k, d), axis=1
-            )
+            if blocks is None:
+                blocks = batch_block_words(xw, d)
+            planes = batch_plane_activity(blocks, d, k)
             active = int(np.count_nonzero(planes[A.indices]))
         note_active(counters, active, visits)
     pl = A.plan()
-    index = pl.set_bits
-    if index.starts.size:
-        # Every index is in range, so ``clip`` only skips the bounds
-        # check (``raise`` would buffer the ``out=`` gather).
-        vals = np.take(
-            xw, index.gather, axis=0, mode="clip",
-            out=pl.set_bit_scratch(nwords),
-        )
-        out[index.rows] = np.bitwise_or.reduceat(
-            vals, index.starts, axis=0
-        )
+    cols = (
+        xw.reshape(-1) != 0 if nwords == 1 else xw.any(axis=1)
+    ).nonzero()[0]
+    if cols.size:
+        ptr = pl.set_bit_columns.ptr
+        pushed = int((ptr[cols + 1] - ptr[cols]).sum())
+        if pushed <= _PUSH_SHARE * pl.set_bits.gather.size:
+            _sliced_push(pl, xw, cols, out)
+        else:
+            _sliced_pull(pl, xw, out)
     out &= ~vw
     return out
 

@@ -30,6 +30,12 @@ overhead dominates the host wall-clock.
   min/max-semiring or bit-sliced boolean launch (the set-bit execution
   paths of :mod:`repro.kernels.bmv`), not by :meth:`SweepPlan.warm`,
   plus the set-bit sweep's reusable gather buffer;
+* **column-order set-bit index** — :class:`ColumnBitIndex`, the same
+  bits grouped by column for the boolean set-bit sweep's push route,
+  derived from :attr:`SweepPlan.set_bits` (so a matrix attached without
+  its :class:`~repro.graph.Graph` gets it too) on the first launch with
+  a non-empty frontier, whose route choice reads its column pointers —
+  not by :meth:`SweepPlan.warm`;
 
 (The BMM contraction operand — the column-major tile repacking — is
 memoized on the matrix itself, :meth:`B2SRMatrix.colmajor_tiles`.)
@@ -64,7 +70,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.bitops.packing import unpack_batch_words, unpack_bits_rowmajor
+from repro.bitops.packing import unpack_bits_rowmajor
 from repro.bitops.segreduce import (
     SequentialFoldPlan,
     run_starts,
@@ -122,6 +128,31 @@ class SetBitIndex:
     rows: np.ndarray
 
 
+@dataclass(frozen=True)
+class ColumnBitIndex:
+    """Every stored bit of a matrix in column order — the index of the
+    boolean set-bit sweep's push route.
+
+    Column ``c``'s set bits lie in rows ``rows[ptr[c]:ptr[c+1]]``
+    (ascending), for every padded column ``c < n_tile_cols · d``.  Both
+    arrays are read-only, with :class:`SetBitIndex`'s dtype rule.
+    """
+
+    #: Offset of each column's run in :attr:`rows` (one entry more than
+    #: the padded column count).
+    ptr: np.ndarray
+    #: Row of every set bit.
+    rows: np.ndarray
+
+
+def _index_dtype(A: "B2SRMatrix", nbits: int) -> type:
+    """``int32`` for the set-bit indices (half the memory, launches no
+    slower) unless some index or position does not fit in it."""
+    d = A.tile_dim
+    span = max(nbits, A.n_tile_rows * d, A.n_tile_cols * d)
+    return np.int32 if span < 2**31 else np.int64
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -153,6 +184,7 @@ class SweepPlan:
         self._scratch: dict[tuple, np.ndarray] = {}
         self._folds: dict[tuple, SequentialFoldPlan] = {}
         self._set_bits: SetBitIndex | None = None
+        self._set_bit_columns: ColumnBitIndex | None = None
 
     # ------------------------------------------------------------------
     # Chunk tables
@@ -315,15 +347,34 @@ class SweepPlan:
             row = pair_row[src]
             gather = A.indices[src // d] * d + col
             starts = run_starts(row)
-            # int32 halves the index's memory and launches no slower.
-            span = max(gather.size, A.n_tile_rows * d, A.n_tile_cols * d)
-            dt = np.int32 if span < 2**31 else np.int64
+            dt = _index_dtype(A, gather.size)
             self._set_bits = SetBitIndex(
                 gather=_freeze(gather.astype(dt)),
                 starts=_freeze(starts.astype(dt)),
                 rows=_freeze(row[starts].astype(dt)),
             )
         return self._set_bits
+
+    @property
+    def set_bit_columns(self) -> ColumnBitIndex:
+        """The stored bits in column order (:class:`ColumnBitIndex`),
+        regrouped from :attr:`set_bits` on first use and memoized."""
+        if self._set_bit_columns is None:
+            A = self.matrix
+            sb = self.set_bits
+            ncols = A.n_tile_cols * A.tile_dim
+            lengths = np.diff(sb.starts, append=sb.gather.size)
+            row = np.repeat(sb.rows, lengths)
+            # Stable, so each column's rows stay in ascending order.
+            order = np.argsort(sb.gather, kind="stable")
+            ptr = np.zeros(ncols + 1, dtype=np.int64)
+            np.cumsum(np.bincount(sb.gather, minlength=ncols), out=ptr[1:])
+            dt = _index_dtype(A, sb.gather.size)
+            self._set_bit_columns = ColumnBitIndex(
+                ptr=_freeze(ptr.astype(dt)),
+                rows=_freeze(row[order].astype(dt)),
+            )
+        return self._set_bit_columns
 
     def seq_fold(self, chunk: SweepChunk) -> SequentialFoldPlan:
         """The chunk's precompiled sequential segment-sum
@@ -424,6 +475,9 @@ class SweepPlan:
             "scratch_buffers": float(len(self._scratch)),
             "gather_cached": float(self._gather is not None),
             "set_bits_cached": float(self._set_bits is not None),
+            "set_bit_columns_cached": float(
+                self._set_bit_columns is not None
+            ),
         }
 
 
@@ -441,26 +495,44 @@ def word_activity(xw: np.ndarray) -> np.ndarray:
     return (xw != 0).any(axis=1)
 
 
-def batch_word_activity(
-    xw: np.ndarray, tile_dim: int, k: int
-) -> np.ndarray:
-    """Per-(tile column, batch column) activity of batch-major words
-    (:func:`repro.bitops.packing.pack_batch_words`): the ``(n_tile_cols,
-    k)`` bool array whose ``[b, j]`` says whether vector ``j`` has a set
-    bit in column block ``b``.
+def batch_block_words(xw: np.ndarray, tile_dim: int) -> np.ndarray:
+    """OR of each column block's batch-major words
+    (:func:`repro.bitops.packing.pack_batch_words`).
 
-    ``xw`` is ``(ncols, ⌈k/64⌉)``; each block of ``d`` vertex rows is
-    OR-folded into one row of words and unpacked.  This is
-    :func:`word_activity`'s ``!= 0`` test of every vertex-major word
-    ``pack_bitmatrix(x, d)[b, j]``, so reducing its columns over a word
-    plane gives that plane's tile-sweep activity.
+    ``xw`` is ``(ncols, ⌈k/64⌉)``; the result is ``(n_tile_cols,
+    ⌈k/64⌉)``, whose bit ``j`` in row ``b`` says whether vector ``j`` has
+    a set bit in column block ``b`` — :func:`word_activity`'s ``!= 0``
+    test of every vertex-major word ``pack_bitmatrix(x, d)[b, j]``, kept
+    bit-sliced.
     """
     if xw.shape[0] == 0:
-        return np.zeros((0, k), dtype=bool)
-    blocks = np.bitwise_or.reduceat(
+        return np.zeros((0, xw.shape[1]), dtype=np.uint64)
+    return np.bitwise_or.reduceat(
         xw, np.arange(0, xw.shape[0], tile_dim), axis=0
     )
-    return unpack_batch_words(blocks, k)
+
+
+def batch_plane_activity(
+    blocks: np.ndarray, tile_dim: int, k: int
+) -> np.ndarray:
+    """Per-(tile column, word plane) activity of a ``k``-wide batch from
+    its :func:`batch_block_words`: the ``(n_tile_cols, ⌈k/d⌉)`` bool
+    array whose ``[b, p]`` says whether any vector of plane ``p`` has a
+    set bit in column block ``b`` — the tile sweep's per-plane
+    activity.
+
+    A ``d``-wide plane never straddles two 64-bit words, so it is one
+    ``d``-bit lane of a block word (two nibbles per byte at ``d = 4``).
+    """
+    b = np.ascontiguousarray(blocks, dtype="<u8")
+    if tile_dim >= 8:
+        lanes = b.view(f"<u{tile_dim // 8}")
+    else:
+        nib = b.view(np.uint8)
+        lanes = np.stack((nib & 0xF, nib >> 4), axis=-1).reshape(
+            b.shape[0], -1
+        )
+    return lanes[:, :-(-k // tile_dim)] != 0
 
 
 def value_activity(
@@ -504,11 +576,13 @@ def note_active(
 
 
 __all__ = [
+    "ColumnBitIndex",
     "DEFAULT_BITS_BUDGET_BYTES",
     "SetBitIndex",
     "SweepChunk",
     "SweepPlan",
-    "batch_word_activity",
+    "batch_block_words",
+    "batch_plane_activity",
     "note_active",
     "value_activity",
     "word_activity",

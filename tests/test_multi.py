@@ -2,6 +2,8 @@
 ``bmv_*_multi`` kernels (including ragged shapes and the strict
 packed-operand validation), engine batching, and the batched algorithms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.engines.bit import bmv_stats
 from repro.graph import Graph
 from repro.formats.b2sr import TILE_DIMS
 from repro.formats.convert import b2sr_from_dense
+from repro.kernels import bmv as bmv_mod
 from repro.kernels.bmv import (
     bmv_bin_bin_bin,
     bmv_bin_bin_bin_masked,
@@ -164,8 +167,6 @@ class TestWordPlanes:
     def test_plane_boundary_independent_of_chunking(self):
         """Plane striping composes with tile chunking: shrinking the
         chunk budget must not change any column of a multi-plane batch."""
-        import repro.kernels.bmv as bmv_mod
-
         old = bmv_mod._CHUNK_TILES
         bmv_mod._CHUNK_TILES = 7
         try:
@@ -199,8 +200,9 @@ class TestWordPlanes:
         F[rng.choice(g.n, k), np.arange(k)] = True
         V = F.copy()
         bit = BitEngine(g, tile_dim=8)
-        batched = bit.frontier_expand_multi(F, V)
-        loop = super(BitEngine, bit).frontier_expand_multi(F, V)
+        fw, vw = pack_batch_words(F), pack_batch_words(V)
+        batched = bit.frontier_expand_multi(fw, vw, k)
+        loop = super(BitEngine, bit).frontier_expand_multi(fw, vw, k)
         assert np.array_equal(batched, loop)
 
 
@@ -342,8 +344,6 @@ class TestMultiKernels:
     def test_chunking_boundary(self):
         """Batch widths shrink the tile chunk; crossing chunk boundaries
         must not change any column."""
-        import repro.kernels.bmv as bmv_mod
-
         old = bmv_mod._CHUNK_TILES
         bmv_mod._CHUNK_TILES = 7
         try:
@@ -399,7 +399,9 @@ SLICED_N = 101  # not a multiple of any tile dim
 def sliced_graph(kind: str) -> Graph:
     """``"mixed"``: random edges among the first 90 vertices (91–100 are
     isolated) plus duplicated edges and self-loops; ``"edgeless"``: no
-    edges at all."""
+    edges at all; ``"empty"``: no vertices."""
+    if kind == "empty":
+        return Graph.from_edges(0, np.zeros((0, 2), dtype=np.int64))
     if kind == "edgeless":
         return Graph.from_edges(SLICED_N, np.zeros((0, 2), dtype=np.int64))
     rng = np.random.default_rng(7)
@@ -417,33 +419,61 @@ SLICED_CASES = [(d, k) for d in TILE_DIMS for k in sliced_widths(d)]
 
 
 class TileSweepEngine(BitEngine):
-    """The bit engine with the vertex-major tile sweep as its batched
-    expand — ``pack_bitmatrix`` → ``bmv_bin_bin_bin_multi_masked`` →
-    ``unpack_bitmatrix`` with the tile sweep's own counters and packed
-    word certificate — the reference the sliced sweep is held to."""
+    """The bit engine with the vertex-major tile sweep as both BFS
+    expands, with the tile sweep's own counters and packed-word
+    certificate — the reference the set-bit sweep is held to.
 
-    def frontier_expand_multi(self, frontiers, visiteds):
-        F, V = self._check_multi(frontiers, visiteds)
-        d = self.tile_dim
-        fw = pack_bitmatrix(F, d)
+    ``frontier_expand`` is the single-vector tile sweep
+    (``pack_bitvector`` → ``bmv_bin_bin_bin_masked`` →
+    ``unpack_bitvector``); ``frontier_expand_multi`` keeps the
+    batch-major word contract by unpacking its operands, running
+    ``pack_bitmatrix`` → ``bmv_bin_bin_bin_multi_masked`` →
+    ``unpack_bitmatrix`` and packing the result."""
+
+    def _tile_level(self, op, fw, launch, k):
         counters: dict = {}
         use_skip = self._round_skip(
-            "expand_multi", "bin_bin_bin_masked", self._words_all_active(fw)
+            op, "bin_bin_bin_masked", lambda: bool(fw.all())
         )
-        yw = bmv_bin_bin_bin_multi_masked(
-            self._At, fw, V, complement=True,
-            skip=use_skip, counters=counters,
-        )
+        yw = launch(use_skip, counters)
         self.add_kernel(
             bmv_stats(
                 self._bmv_prices, self._At, "bin_bin_bin_masked",
-                self.device, locality=self._locality, k=F.shape[1],
+                self.device, locality=self._locality, k=k,
                 active_tiles=self._bmv_active(use_skip, counters),
             )
         )
-        self._note_round("expand_multi", use_skip, counters)
+        self._note_round(op, use_skip, counters)
         self.algorithm_stats.host_us += 0.5
-        return unpack_bitmatrix(yw, d, self.n).astype(bool)
+        return yw
+
+    def frontier_expand(self, frontier, visited):
+        d = self.tile_dim
+        fw = pack_bitvector(frontier, d)
+        yw = self._tile_level(
+            "expand", fw,
+            lambda skip, counters: bmv_bin_bin_bin_masked(
+                self._At, fw, visited, complement=True,
+                skip=skip, counters=counters,
+            ),
+            1,
+        )
+        return unpack_bitvector(yw, d, self.n).astype(bool)
+
+    def frontier_expand_multi(self, frontiers, visiteds, k):
+        d = self.tile_dim
+        F = unpack_batch_words(frontiers, k)
+        V = unpack_batch_words(visiteds, k)
+        fw = pack_bitmatrix(F, d)
+        yw = self._tile_level(
+            "expand_multi", fw,
+            lambda skip, counters: bmv_bin_bin_bin_multi_masked(
+                self._At, fw, V, complement=True,
+                skip=skip, counters=counters,
+            ),
+            k,
+        )
+        return pack_batch_words(unpack_bitmatrix(yw, d, self.n))
 
 
 class TestSlicedExpand:
@@ -546,6 +576,139 @@ class TestSlicedExpand:
 
 
 # ---------------------------------------------------------------------------
+# Push and pull routes of the set-bit sweep
+# ---------------------------------------------------------------------------
+PUSH_WIDTHS = (1, 63, 64, 65, 130)
+
+#: ``_PUSH_SHARE`` values that force a route through the public kernel
+#: (``"auto"`` keeps the measured threshold).
+ROUTES = {
+    "auto": bmv_mod._PUSH_SHARE, "push": math.inf, "pull": -math.inf,
+}
+
+
+def push_operands(n: int, k: int, seed: int):
+    """Frontiers from empty to dense (column 0 empty, column 1 full) and
+    a random visited set, as ``(n, k)`` bools."""
+    rng = np.random.default_rng(seed)
+    F = rng.random((n, k)) < rng.random(k) * 0.3
+    F[:, 0] = False
+    if k > 1:
+        F[:, 1] = True
+    V = rng.random((n, k)) < 0.4
+    return F, V
+
+
+class TestPushRoute:
+    @pytest.mark.parametrize("kind", ("mixed", "edgeless", "empty"))
+    @pytest.mark.parametrize("skip", (True, False))
+    @pytest.mark.parametrize("k", PUSH_WIDTHS)
+    @pytest.mark.parametrize("d", TILE_DIMS)
+    def test_routes_equal_tile_sweep(self, d, k, skip, kind, monkeypatch):
+        """Push route, pull route and the tile sweep give the same words
+        for sparse, dense and empty frontiers; the public kernel's
+        counters are the tile sweep's whichever route it is forced to."""
+        A = sliced_graph(kind).b2sr_t(d)
+        n = A.nrows
+        pl = A.plan()
+        F, V = push_operands(n, k, d * 1000 + k)
+        nwords = (k + 63) // 64
+        sparse = F.copy()
+        sparse[n // 3:] = False
+        for F_case in (F, sparse, np.zeros_like(F)):
+            c_tile: dict = {}
+            ref = pack_batch_words(
+                unpack_bitmatrix(
+                    bmv_bin_bin_bin_multi_masked(
+                        A, pack_bitmatrix(F_case, d), V, complement=True,
+                        skip=skip, counters=c_tile,
+                    ),
+                    d, n,
+                )
+            )
+            xw, vw = pack_batch_words(F_case), pack_batch_words(V)
+            cols = np.flatnonzero(xw.any(axis=1))
+            pushed = np.zeros((n, nwords), dtype=np.uint64)
+            bmv_mod._sliced_push(pl, xw, cols, pushed)
+            pulled = np.zeros((n, nwords), dtype=np.uint64)
+            bmv_mod._sliced_pull(pl, xw, pulled)
+            assert np.array_equal(pushed & ~vw, ref)
+            assert np.array_equal(pulled & ~vw, ref)
+            for share in ROUTES.values():
+                monkeypatch.setattr(bmv_mod, "_PUSH_SHARE", share)
+                c_sliced: dict = {}
+                yw = bmv_bin_bin_bin_sliced_masked(
+                    A, xw, vw, k, skip=skip, counters=c_sliced
+                )
+                assert np.array_equal(yw, ref)
+                assert c_sliced == c_tile
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("kind", ("mixed", "edgeless"))
+    @pytest.mark.parametrize("skip_inactive", (True, False, "auto"))
+    @pytest.mark.parametrize("k", PUSH_WIDTHS)
+    @pytest.mark.parametrize("d", TILE_DIMS)
+    def test_algorithms_equal_tile_sweep(
+        self, d, k, skip_inactive, kind, route, monkeypatch
+    ):
+        """``bfs`` (the ``k = 1`` column), ``multi_source_bfs`` and
+        ``landmark_diameter`` give the tile sweep's depths, reports and
+        auto dense rounds on either route."""
+        from repro.algorithms import bfs, landmark_diameter, multi_source_bfs
+
+        monkeypatch.setattr(bmv_mod, "_PUSH_SHARE", ROUTES[route])
+        g = sliced_graph(kind)
+        sources = np.random.default_rng(k).integers(0, SLICED_N, k)
+        sliced = BitEngine(g, tile_dim=d, skip_inactive=skip_inactive)
+        tile = TileSweepEngine(g, tile_dim=d, skip_inactive=skip_inactive)
+        runs = [
+            lambda e: multi_source_bfs(e, sources),
+            lambda e: landmark_diameter(e, landmarks=k, seed=k),
+        ]
+        if k == 1:
+            runs += [lambda e, s=s: bfs(e, int(s)) for s in (0, 5, 95)]
+        for run in runs:
+            got, rep = run(sliced)
+            want, ref_rep = run(tile)
+            assert np.array_equal(got, want)
+            assert rep == ref_rep
+            assert sliced.auto_dense_rounds == tile.auto_dense_rounds
+
+    def test_single_and_batched_keep_their_own_skip_history(self):
+        """The k = 1 expand shares the batched level code but not its
+        "auto" history: a fully active batched round does not make the
+        next single-source round dense."""
+        g = dot_pattern(256, 0.05, seed=2)
+        full = pack_batch_words(np.ones((g.n, 3), dtype=bool))
+        none = np.zeros_like(full)
+        for engine in (
+            BitEngine(g, tile_dim=16), TileSweepEngine(g, tile_dim=16)
+        ):
+            engine.frontier_expand_multi(full, none, 3)
+            engine.frontier_expand_multi(full, none, 3)
+            assert engine.auto_dense_rounds == 1
+            engine.frontier_expand(np.ones(g.n), np.zeros(g.n))
+            assert engine.auto_dense_rounds == 1
+
+    def test_sparse_frontier_takes_push(self, monkeypatch):
+        """A one-vertex frontier pushes, a full one pulls, and only a
+        push launch touches the column-order index's rows."""
+        A = sliced_graph("mixed").b2sr_t(8)
+        routes = []
+        for name in ("_sliced_push", "_sliced_pull"):
+            real = getattr(bmv_mod, name)
+            monkeypatch.setattr(
+                bmv_mod, name,
+                lambda *a, _n=name, _f=real: (routes.append(_n), _f(*a)),
+            )
+        V = np.zeros((SLICED_N, 1), dtype=np.uint64)
+        for frontier in (np.arange(SLICED_N) == 3, np.ones(SLICED_N)):
+            xw = pack_batch_words(frontier[:, None])
+            bmv_bin_bin_bin_sliced_masked(A, xw, V, 1)
+        assert routes == ["_sliced_push", "_sliced_pull"]
+
+
+# ---------------------------------------------------------------------------
 # Engines and algorithms
 # ---------------------------------------------------------------------------
 class TestBatchedAlgorithms:
@@ -635,8 +798,9 @@ class TestBatchedAlgorithms:
         F[rng.choice(g.n, 3), np.arange(3)] = True
         V = F.copy()
         bit = BitEngine(g, tile_dim=8)
-        batched = bit.frontier_expand_multi(F, V)
-        loop = super(BitEngine, bit).frontier_expand_multi(F, V)
+        fw, vw = pack_batch_words(F), pack_batch_words(V)
+        batched = bit.frontier_expand_multi(fw, vw, 3)
+        loop = super(BitEngine, bit).frontier_expand_multi(fw, vw, 3)
         assert np.array_equal(batched, loop)
 
 

@@ -260,6 +260,35 @@ class TestSetBitExecution:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("d", TILE_DIMS)
+    def test_column_index_matches_source_csc(self, d):
+        """The push route's (ptr, rows) pair is the CSC of the matrix
+        the B2SR was built from, over every padded column; it is frozen
+        ``int32`` and built by the first sliced launch, not by warm."""
+        from repro.bitops.packing import pack_batch_words
+
+        A, dense, rng = build(n=77, d=d, density=0.1, seed=d)
+        dense[np.arange(0, 77, 3), np.arange(0, 77, 3)] = 1.0
+        A = b2sr_from_dense(dense, d)
+        plan = A.plan().warm((1, 64))
+        assert plan.stats()["set_bit_columns_cached"] == 0.0
+        frontier = np.zeros((77, 1), dtype=bool)
+        frontier[5] = True
+        words = pack_batch_words(frontier)
+        bmv.bmv_bin_bin_bin_sliced_masked(A, words, 0 * words, 1)
+        assert plan.stats()["set_bit_columns_cached"] == 1.0
+        idx = plan.set_bit_columns
+        c, r = np.nonzero(dense.T)
+        padded = A.n_tile_cols * d
+        assert np.array_equal(idx.rows, r)
+        assert np.array_equal(
+            idx.ptr, np.searchsorted(c, np.arange(padded + 1))
+        )
+        assert plan.set_bit_columns is idx
+        for arr in (idx.ptr, idx.rows):
+            assert arr.dtype == np.int32
+            assert not arr.flags.writeable
+
     def test_empty_matrix_and_empty_rows(self):
         A = b2sr_from_dense(np.zeros((20, 20), dtype=np.float32), 8)
         x = np.arange(20, dtype=np.float32)

@@ -72,6 +72,9 @@ class TestRoundTrip:
             shadow._At = att.matrix
             got = shadow.frontier_expand(frontier, visited)
             assert np.array_equal(got, want)
+            # The push route's column index is derived from the attached
+            # tiles; no Graph is needed.
+            assert att.matrix.plan().stats()["set_bit_columns_cached"] == 1
             del shadow  # release the attached matrix before unmapping
             att.close()
         assert_no_segments()
