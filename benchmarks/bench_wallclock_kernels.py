@@ -23,6 +23,9 @@ PageRank's tile sweep (the fused masked gather) on the same matrix, and
 the same matrix: one case replays every level (batch-major frontier and
 visited words) recorded from a seeded ``k``-source ``multi_source_bfs``;
 ``frontier_expand`` replays every level of a single-source ``bfs``.
+``multi_source_sssp`` times a seeded ``k``-source batched SSSP end to end
+on ``hybrid_pattern(512, seed=4)`` at B2SR-32 — the serving graph size —
+replaying the same relaxation rounds every call.
 """
 
 import numpy as np
@@ -206,6 +209,24 @@ def test_wallclock_frontier_expand_multi(benchmark, hybrid, json_report, k):
         json_report, benchmark, "frontier_expand_multi",
         graph="hybrid_pattern(2048, seed=4)", tile_dim=32, k=k,
         levels=len(levels),
+    )
+
+
+@pytest.mark.parametrize("k", (1, 8, 32))
+def test_wallclock_multi_source_sssp(benchmark, json_report, k):
+    """Every relaxation round of a seeded k-source SSSP batch."""
+    from repro.algorithms import multi_source_sssp
+
+    g = hybrid_pattern(512, seed=4)
+    engine = BitEngine(g, tile_dim=32)
+    engine.warm_plans((k,))
+    sources = np.random.default_rng(k).choice(g.n, k, replace=False)
+    _, report = multi_source_sssp(engine, sources)
+    benchmark(multi_source_sssp, engine, sources)
+    emit_benchmark(
+        json_report, benchmark, "multi_source_sssp",
+        graph="hybrid_pattern(512, seed=4)", tile_dim=32, k=k,
+        rounds=report.iterations,
     )
 
 

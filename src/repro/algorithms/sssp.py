@@ -8,11 +8,20 @@ in-neighbours — Bellman-Ford iterations expressed as
 (eccentricity) rounds, mirroring the iteration structure of GraphBLAST's
 delta-stepping configuration on unit weights.
 
-:func:`multi_source_sssp` relaxes ``k`` sources in lockstep through the
-batched numeric pull (:meth:`repro.engines.base.Engine.pull_multi`): one
-min-plus kernel sweep per round serves every column — striped across
-``⌈k/d⌉`` value planes on the bit backend when the batch exceeds the tile
-word width — instead of ``k`` independent launches.
+A round is one :meth:`repro.engines.base.Engine.relax` (``relax_multi``
+for a batch), told which distances improved in the previous round — the
+``new < dist`` mask the convergence check computes anyway; in round one,
+the finite entries.  Only those vertices' ``x + 1`` can lower anything:
+every other vertex's was folded in when it last changed.  So the bit
+backend pushes from them along their out-edges, the frontier relaxation
+of Δ-stepping and direction-optimizing traversal, while the result and
+the modeled cost stay those of the pull ``min(dist, Aᵀ ⊕.⊗ dist)``,
+which the GraphBLAST backend still runs.
+
+:func:`multi_source_sssp` relaxes ``k`` sources in lockstep: one min-plus
+kernel launch per round serves every column — striped across ``⌈k/d⌉``
+value planes on the bit backend when the batch exceeds the tile word
+width — instead of ``k`` independent launches.
 """
 
 from __future__ import annotations
@@ -51,13 +60,15 @@ def sssp(
     dist = np.full(n, np.inf, dtype=np.float32)  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances), matches the paper's GPU value arithmetic; ids stay float64
     dist[source] = 0.0
 
+    changed = np.isfinite(dist)
     for _ in range(max_iterations):
         engine.note_iteration()
-        relaxed = engine.pull(dist, MIN_PLUS)
-        new = np.minimum(dist, relaxed.astype(np.float32))  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances)
+        new = engine.relax(dist, changed, MIN_PLUS)
         # ``new <= dist`` always holds (elementwise min), so "no entry
-        # improved" is exactly "new == dist" — one check suffices.
-        if not (new < dist).any():
+        # improved" is exactly "new == dist" — one check suffices, and
+        # the improved entries are the next round's changed set.
+        changed = new < dist
+        if not changed.any():
             break
         dist = new
 
@@ -72,9 +83,9 @@ def multi_source_sssp(
 ) -> tuple[np.ndarray, EngineReport]:
     """Unit-weight SSSP from ``k`` sources in lockstep.
 
-    Every round performs one batched min-plus pull over the ``(n, k)``
-    distance matrix — a single kernel launch on the bit backend however
-    many sources are in flight — and relaxes all columns elementwise.
+    Every round performs one batched min-plus relaxation over the
+    ``(n, k)`` distance matrix — a single kernel launch on the bit
+    backend however many sources are in flight.
     Columns that have converged sit at their fixed point (an extra
     min-plus relaxation cannot change them), so column ``j`` of the result
     is **bitwise identical** to ``sssp(engine, sources[j])``; the loop
@@ -104,11 +115,12 @@ def multi_source_sssp(
     dist = np.full((n, k), np.inf, dtype=np.float32)  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances), matches the paper's GPU value arithmetic; ids stay float64
     dist[src, np.arange(k)] = 0.0
 
+    changed = np.isfinite(dist)
     for _ in range(max_iterations):
         engine.note_iteration()
-        relaxed = engine.pull_multi(dist, MIN_PLUS)
-        new = np.minimum(dist, relaxed.astype(np.float32))  # repro-lint: ignore[numeric-cliff] — float32 value payload (distances)
-        if not (new < dist).any():
+        new = engine.relax_multi(dist, changed, MIN_PLUS)
+        changed = new < dist
+        if not changed.any():
             break
         dist = new
 

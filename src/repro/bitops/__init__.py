@@ -24,6 +24,7 @@ from repro.bitops.intrinsics import (
 )
 from repro.bitops.packing import (
     batch_word_count,
+    check_batch_words,
     nibble_pack,
     nibble_unpack,
     pack_batch_words,
@@ -61,6 +62,7 @@ __all__ = [
     "pack_bitmatrix",
     "unpack_bitmatrix",
     "batch_word_count",
+    "check_batch_words",
     "pack_batch_words",
     "unpack_batch_words",
     "plane_count",

@@ -302,6 +302,30 @@ def pack_batch_words(x: np.ndarray) -> np.ndarray:
     return _pack_rows(bits, 64).astype(np.uint64, copy=False)
 
 
+def check_batch_words(
+    words: np.ndarray, rows: int, k: int, what: str
+) -> np.ndarray:
+    """Validate a ``k``-wide batch-major operand
+    (:func:`pack_batch_words`): ``uint64`` of shape ``(rows, ⌈k/64⌉)``
+    with no bit set at a batch position ``>= k`` — set high bits mean
+    the words were packed for a wider batch.  Returns the operand as an
+    array."""
+    w = np.asarray(words)
+    nwords = batch_word_count(k)
+    if w.shape != (rows, nwords) or w.dtype != np.uint64:
+        raise ValueError(
+            f"{what} must be batch-major uint64 words of shape "
+            f"({rows}, {nwords}) for k={k}, got {w.dtype} {w.shape}"
+        )
+    spare = k % 64
+    if spare and np.bitwise_or.reduce(w[:, -1]) >> np.uint64(spare):
+        raise ValueError(
+            f"{what} carry bits at batch positions >= k={k}; the words "
+            "were packed for a wider batch"
+        )
+    return w
+
+
 def unpack_batch_words(words: np.ndarray, k: int) -> np.ndarray:
     """Inverse of :func:`pack_batch_words`: the ``(n, k)`` bool array of
     the low ``k`` bits of each row (higher bits are ignored).  The word

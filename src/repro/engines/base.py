@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bitops.packing import (
-    batch_word_count,
+    check_batch_words,
     pack_batch_words,
     unpack_batch_words,
 )
@@ -63,7 +63,8 @@ class Engine:
 
     * :meth:`frontier_expand` — masked boolean vxm (BFS step);
     * :meth:`pull` — semiring mxv against the transposed adjacency
-      (in-neighbour aggregation for SSSP/PR/CC);
+      (in-neighbour aggregation for SSSP/PR/CC), and :meth:`relax`,
+      SSSP's ``min(x, pull(x))`` told which entries changed;
     * :meth:`tc_count` — fused masked product-sum over the lower triangle.
     """
 
@@ -180,15 +181,55 @@ class Engine:
             out[:, j] = self.pull(X[:, j], semiring)
         return out
 
+    def relax(
+        self, x: np.ndarray, changed: np.ndarray, semiring: Semiring
+    ) -> np.ndarray:
+        """One relaxation round ``add(x, pull(x))`` of a min/max
+        fixed-point iteration — SSSP's Bellman-Ford step
+        ``min(dist, Aᵀ ⊕.⊗ dist)``.
+
+        ``changed`` is a bool vector of ``x``'s shape covering every
+        vertex whose ``mult(1, x_v)`` is not yet folded into its
+        out-neighbours' entries: the vertices that improved in the last
+        round, and in the first round every non-identity entry.  It lets
+        a backend relax from those vertices only; the result is bitwise
+        that of the pull, priced as one :meth:`pull`.  Default: the
+        pull.
+        """
+        X = self._check_relax(x, changed, 1)
+        return semiring.add(X, self.pull(X, semiring))
+
+    def relax_multi(
+        self, x: np.ndarray, changed: np.ndarray, semiring: Semiring
+    ) -> np.ndarray:
+        """Batched :meth:`relax` over the columns of the ``(n, k)``
+        operand, ``changed`` of the same shape; priced as one
+        :meth:`pull_multi`.  Default: the pull."""
+        X = self._check_relax(x, changed, 2)
+        return semiring.add(X, self.pull_multi(X, semiring))
+
+    def _check_relax(
+        self, x: np.ndarray, changed: np.ndarray, ndim: int
+    ) -> np.ndarray:
+        """Validate a relaxation's operands; return ``x`` in its value
+        dtype."""
+        X = np.asarray(x)
+        X = X.astype(value_dtype(X), copy=False)
+        C = np.asarray(changed)
+        if X.ndim != ndim or X.shape[0] != self.n:
+            want = f"({self.n},)" if ndim == 1 else f"({self.n}, k)"
+            raise ValueError(f"expected {want} values, got shape {X.shape}")
+        if C.shape != X.shape or C.dtype != bool:
+            raise ValueError(
+                f"changed must be a bool array of shape {X.shape}, got "
+                f"{C.dtype} {C.shape}"
+            )
+        return X
+
     def _check_multi(
         self, frontiers: np.ndarray, visiteds: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        shape = (self.n, batch_word_count(k))
-        words = (np.asarray(frontiers), np.asarray(visiteds))
-        for w, what in zip(words, ("frontiers", "visiteds")):
-            if w.shape != shape or w.dtype != np.uint64:
-                raise ValueError(
-                    f"{what} must be batch-major uint64 words of shape "
-                    f"{shape} for k={k}, got {w.dtype} {w.shape}"
-                )
-        return words
+        return (
+            check_batch_words(frontiers, self.n, k, "frontiers"),
+            check_batch_words(visiteds, self.n, k, "visiteds"),
+        )

@@ -8,6 +8,8 @@ GraphBLAST's multi-kernel iterations.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 # The packing codecs, ``bmv_bin_bin_bin_masked`` and
@@ -32,9 +34,10 @@ from repro.kernels.bmm import bmm_bin_bin_sum_masked, bmm_pair_count
 from repro.kernels.bmv import (
     bmv_bin_bin_bin_masked,  # noqa: F401
     bmv_bin_bin_bin_multi_masked,  # noqa: F401
-    bmv_bin_bin_bin_sliced_masked,
     bmv_bin_full_full,
     bmv_bin_full_full_multi,
+    bmv_bin_full_full_relax,
+    sliced_masked_words,
 )
 from repro.kernels import costmodel
 from repro.kernels.costmodel import (
@@ -272,30 +275,82 @@ class BitEngine(Engine):
         # else runs in the kernels' native float32.
         dt = value_dtype(x)
         X = np.asarray(x).astype(dt, copy=False)
+        return self._value_round(
+            "pull", X[:, None], semiring,
+            lambda skip, counters: bmv_bin_full_full(
+                self._At, X, semiring, skip=skip, counters=counters
+            )[:, None],
+        )[:, 0]
+
+    def relax(
+        self, x: np.ndarray, changed: np.ndarray, semiring: Semiring
+    ) -> np.ndarray:
+        """SSSP's relaxation round (:meth:`Engine.relax`): the ``k = 1``
+        column of :meth:`relax_multi`, priced, skip-predicted and
+        accounted exactly as :meth:`pull`."""
+        X = self._check_relax(x, changed, 1)
+        C = np.asarray(changed)[:, None]
+        return self._relax_round("pull", X[:, None], C, semiring)[:, 0]
+
+    def relax_multi(
+        self, x: np.ndarray, changed: np.ndarray, semiring: Semiring
+    ) -> np.ndarray:
+        """Batched relaxation: one
+        :func:`~repro.kernels.bmv.bmv_bin_full_full_relax` launch pushes
+        from the changed ``(vertex, column)`` pairs, or pulls when they
+        are dense — priced, skip-predicted and accounted exactly as
+        :meth:`pull_multi`, whose answer it returns bit for bit."""
+        X = self._check_relax(x, changed, 2)
+        return self._relax_round("pull_multi", X, changed, semiring)
+
+    def _relax_round(
+        self, op: str, X: np.ndarray, changed: np.ndarray, semiring: Semiring
+    ) -> np.ndarray:
+        return self._value_round(
+            op, X, semiring,
+            lambda skip, counters: bmv_bin_full_full_relax(
+                self._At, X, changed, semiring,
+                skip=skip, counters=counters,
+            ),
+        )
+
+    def _value_round(
+        self,
+        op: str,
+        X: np.ndarray,
+        semiring: Semiring,
+        launch: Callable[[bool, dict], np.ndarray],
+    ) -> np.ndarray:
+        """One semiring launch over the ``(n, k)`` operand ``X`` —
+        ``launch(skip, counters)`` — with its ``"auto"`` skip decision
+        (keyed by ``op``), price and accounting; every pull and
+        relaxation round runs through here."""
+        dt = X.dtype
+        k = X.shape[1]
         counters: dict = {}
         use_skip = self._round_skip(
-            "pull", "bin_full_full",
+            op, "bin_full_full",
             self._values_all_active(X, semiring.zero),
             value_bytes=float(dt.itemsize),
         )
-        y = bmv_bin_full_full(
-            self._At, X, semiring,
-            skip=use_skip, counters=counters,
+        Y = launch(use_skip, counters)
+        self.add_kernel(
+            bmv_stats(
+                self._bmv_prices, self._At, "bin_full_full", self.device,
+                locality=self._locality, k=k,
+                value_bytes=float(dt.itemsize),
+                active_tiles=self._bmv_active(use_skip, counters),
+            )
         )
-        stats = bmv_stats(
-            self._bmv_prices, self._At, "bin_full_full", self.device,
-            locality=self._locality, value_bytes=float(dt.itemsize),
-            active_tiles=self._bmv_active(use_skip, counters),
-        )
-        self.add_kernel(stats)
-        self._note_round("pull", use_skip, counters)
-        self.note_ewise(vectors=2)
-        # Convergence read-back once per iteration (a single flag memcpy —
-        # far lighter than GraphBLAST's frontier machinery but not free).
-        # It happens *outside* the BMV kernel, so it charges the algorithm
+        self._note_round(op, use_skip, counters)
+        # One elementwise update over all k columns and one convergence
+        # read-back (a single flag memcpy — far lighter than
+        # GraphBLAST's frontier machinery but not free).  The read-back
+        # happens *outside* the BMV kernel, so it charges the algorithm
         # row only.
+        self.add_aux(ewise_dense_stats(self.n * k, self.device, vectors=2))
         self.algorithm_stats.host_us += 4.0
-        return y
+        return Y
 
     def frontier_expand_multi(
         self, frontiers: np.ndarray, visiteds: np.ndarray, k: int
@@ -332,9 +387,10 @@ class BitEngine(Engine):
         use_skip = self._round_skip(
             op, "bin_bin_bin_masked", self._blocks_all_active(blocks, k)
         )
-        yw = bmv_bin_bin_bin_sliced_masked(
-            self._At, fw, vw, k,
-            blocks=blocks, skip=use_skip, counters=counters,
+        # The words are valid by construction (``frontier_expand``) or
+        # were checked on entry (``_check_multi``).
+        yw = sliced_masked_words(
+            self._At, fw, vw, k, blocks, use_skip, counters
         )
         self.add_kernel(
             bmv_stats(
@@ -353,39 +409,20 @@ class BitEngine(Engine):
     def pull_multi(self, x: np.ndarray, semiring: Semiring) -> np.ndarray:
         """Batched semiring pull: one ``bmv_bin_full_full_multi`` sweep
         serves all ``k`` columns (striped across ``⌈k/d⌉`` value planes
-        when the batch exceeds the tile word width) — batched PageRank's,
-        multi-source SSSP's and batched FastSV's kernel."""
+        when the batch exceeds the tile word width) — batched PageRank's
+        and batched FastSV's kernel."""
         dt = value_dtype(x)
         X = np.asarray(x).astype(dt, copy=False)
         if X.ndim != 2 or X.shape[0] != self.n:
             raise ValueError(
                 f"expected ({self.n}, k) vectors, got shape {X.shape}"
             )
-        k = X.shape[1]
-        counters: dict = {}
-        use_skip = self._round_skip(
-            "pull_multi", "bin_full_full",
-            self._values_all_active(X, semiring.zero),
-            value_bytes=float(dt.itemsize),
+        return self._value_round(
+            "pull_multi", X, semiring,
+            lambda skip, counters: bmv_bin_full_full_multi(
+                self._At, X, semiring, skip=skip, counters=counters
+            ),
         )
-        Y = bmv_bin_full_full_multi(
-            self._At, X, semiring,
-            skip=use_skip, counters=counters,
-        )
-        self.add_kernel(
-            bmv_stats(
-                self._bmv_prices, self._At, "bin_full_full", self.device,
-                locality=self._locality, k=k,
-                value_bytes=float(dt.itemsize),
-                active_tiles=self._bmv_active(use_skip, counters),
-            )
-        )
-        self._note_round("pull_multi", use_skip, counters)
-        # One elementwise update over all k columns, one convergence
-        # read-back for the whole batch (cf. :meth:`pull`).
-        self.add_aux(ewise_dense_stats(self.n * k, self.device, vectors=2))
-        self.algorithm_stats.host_us += 4.0
-        return Y
 
     def tc_count(self) -> float:
         sym = self.graph.symmetrized()

@@ -10,7 +10,7 @@ how many atomics, and how many kernel launches it took.  The timing model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass
@@ -65,24 +65,27 @@ class KernelStats:
     def __add__(self, other: "KernelStats") -> "KernelStats":
         if not isinstance(other, KernelStats):
             return NotImplemented
-        return KernelStats(
-            launches=self.launches + other.launches,
-            dram_bytes=self.dram_bytes + other.dram_bytes,
-            l2_bytes=self.l2_bytes + other.l2_bytes,
-            l1_bytes=self.l1_bytes + other.l1_bytes,
-            warp_instructions=self.warp_instructions
-            + other.warp_instructions,
-            sync_intrinsics=self.sync_intrinsics + other.sync_intrinsics,
-            atomics=self.atomics + other.atomics,
-            flops=self.flops + other.flops,
-            host_us=self.host_us + other.host_us,
-            min_compute_us=self.min_compute_us + other.min_compute_us,
-            tag=self.tag or other.tag,
-        )
+        out = replace(self)
+        out += other
+        return out
 
     def __iadd__(self, other: "KernelStats") -> "KernelStats":
-        merged = self + other
-        self.__dict__.update(merged.__dict__)
+        """Add ``other`` into ``self`` field by field, in place; ``other``
+        is left untouched and ``self`` keeps its tag unless it has
+        none."""
+        if not isinstance(other, KernelStats):
+            return NotImplemented
+        self.launches += other.launches
+        self.dram_bytes += other.dram_bytes
+        self.l2_bytes += other.l2_bytes
+        self.l1_bytes += other.l1_bytes
+        self.warp_instructions += other.warp_instructions
+        self.sync_intrinsics += other.sync_intrinsics
+        self.atomics += other.atomics
+        self.flops += other.flops
+        self.host_us += other.host_us
+        self.min_compute_us += other.min_compute_us
+        self.tag = self.tag or other.tag
         return self
 
     def scaled(self, factor: float) -> "KernelStats":
@@ -106,8 +109,6 @@ class KernelStats:
         """Copy with launch and host overheads zeroed — the device-busy
         view used for kernel-row latencies and Figure 6/7 measurements
         (CUDA-event style timing around the kernel body)."""
-        from dataclasses import replace
-
         return replace(self, launches=0, host_us=0.0)
 
     @property

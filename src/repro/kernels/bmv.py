@@ -128,6 +128,20 @@ sweep's.  The counters are again the tile sweep's — whatever the route —
 counted per ``d``-wide word plane from the column blocks' OR-ed words;
 with ``skip`` they change, the work does not.
 
+The min/max semirings take the same two routes in
+:func:`bmv_bin_full_full_relax`, one round ``add(X, A ⊕.⊗ X)`` of a
+fixed-point iteration such as SSSP's Bellman-Ford, told which
+``(vertex, column)`` pairs of ``X`` changed since the last round.  The
+**push** takes the changed pairs' runs in the column-order index and
+folds their ``mult(1, x)`` into a copy of ``X`` with one ``add_at``
+scatter over the flat slots ``row·k + j``; the **pull** is the set-bit
+sweep above, folded into ``X``.  An unchanged pair's contribution is
+already folded into every row it reaches, so the push returns the pull's
+bits — on operands the set-bit path accepts; the rest take the tile
+sweep.  Push is taken when the changed pairs' columns hold at most
+:data:`_RELAX_PUSH_SHARE` of the stored bits times ``k``; the counters
+are the tile sweep's over the whole operand on every route.
+
 The only Python-level loops are the tile-chunk loops bounding dense-unpack
 scratch (``_CHUNK_TILES`` elements per plane) and, in the semiring tile
 sweep, the per-column gathers of each plane.
@@ -140,6 +154,7 @@ import numpy as np
 from repro.bitops.intrinsics import ballot_sync, mask_for_width
 from repro.bitops.packing import (
     batch_word_count,
+    check_batch_words,
     pack_bitmatrix,
     pack_bitvector,
     plane_count,
@@ -171,6 +186,18 @@ _CHUNK_TILES = 8192
 #: 420 µs against 74 µs at 100%.  With two words per vertex (k = 128)
 #: they cross at ~11%.
 _PUSH_SHARE = 0.15
+
+#: The min/max relaxation (:func:`bmv_bin_full_full_relax`) pushes from
+#: the changed pairs when their columns hold at most this share of the
+#: stored bits times ``k``, and pulls over every stored bit otherwise.
+#: On ``hybrid_pattern(512, seed=4)`` at B2SR-32 (3,288 stored bits;
+#: 2-vCPU Intel Xeon, NumPy 2.4) the routes cross at ~20% for k = 32
+#: (push 496 µs against 844 µs for pull at 15%, 734 against 734 at 20%)
+#: and ~25% for k = 64; at k = 8 and k = 1 push still wins at 30%.  On
+#: ``hybrid_pattern(2048, seed=4)`` (33,135 stored bits) they cross at
+#: ~30% or above for every k in {1, 8, 32}.  SSSP's rounds change 0.6%
+#: (k = 1) to 13% (k = 32) of the stored bits on average.
+_RELAX_PUSH_SHARE = 0.20
 
 
 def _check_vec_words(A: B2SRMatrix, x_words: np.ndarray) -> np.ndarray:
@@ -446,20 +473,6 @@ def bmv_bin_bin_bin_multi_masked(
     return yw & pack_bitmatrix(valid, A.tile_dim)
 
 
-def _check_batch_words(
-    words: np.ndarray, rows: int, nwords: int, what: str
-) -> np.ndarray:
-    """Validate a batch-major operand: ``uint64`` of shape
-    ``(rows, nwords)``."""
-    w = np.asarray(words)
-    if w.shape != (rows, nwords) or w.dtype != np.uint64:
-        raise ValueError(
-            f"{what} must be batch-major uint64 words of shape "
-            f"({rows}, {nwords}), got {w.dtype} {w.shape}"
-        )
-    return w
-
-
 def _sliced_pull(pl: SweepPlan, xw: np.ndarray, out: np.ndarray) -> None:
     """Pull route of the boolean set-bit sweep: gather the frontier word
     at every stored bit (:attr:`SweepPlan.set_bits`, CSR order) and
@@ -536,10 +549,25 @@ def bmv_bin_bin_bin_sliced_masked(
     :func:`repro.kernels.plan.batch_block_words` of ``x_words`` when the
     caller has already computed it.
     """
+    xw = check_batch_words(x_words, A.ncols, k, "x_words")
+    vw = check_batch_words(visited_words, A.nrows, k, "visited_words")
+    return sliced_masked_words(A, xw, vw, k, blocks, skip, counters)
+
+
+def sliced_masked_words(
+    A: B2SRMatrix,
+    xw: np.ndarray,
+    vw: np.ndarray,
+    k: int,
+    blocks: np.ndarray | None,
+    skip: bool,
+    counters: dict | None,
+) -> np.ndarray:
+    """:func:`bmv_bin_bin_bin_sliced_masked` on operands the caller has
+    already validated with :func:`repro.bitops.packing.check_batch_words`
+    — the engine's BFS level, which checks its words once on entry."""
     d = A.tile_dim
     nwords = batch_word_count(k)
-    xw = _check_batch_words(x_words, A.ncols, nwords, "x_words")
-    vw = _check_batch_words(visited_words, A.nrows, nwords, "visited_words")
     out = np.zeros((A.nrows, nwords), dtype=np.uint64)
     if A.n_tiles == 0 or k == 0:
         note_active(counters, 0, 0)
@@ -640,7 +668,7 @@ def _bmv_bin_bin_full_core(
     y = np.zeros((A.n_tile_rows, d, k), dtype=np.float32)
     if A.n_tiles == 0 or k == 0:
         note_active(counters, 0, 0)
-        return y.reshape(-1, k)[: A.nrows]
+        return y.reshape(A.n_tile_rows * d, k)[: A.nrows]
     pl = _resolve_plan(A, plan)
     stripes = plane_slices(k, d)
     acts = [word_activity(xw[:, sl]) if skip else None for sl in stripes]
@@ -666,7 +694,7 @@ def _bmv_bin_bin_full_core(
                     tiles[sub][:, :, None] & xw[:, sl][cols[sub], None, :]
                 )
             y[ch.rows, :, sl] += np.add.reduceat(counts, ch.starts, axis=0)
-    return y.reshape(-1, k)[: A.nrows]
+    return y.reshape(A.n_tile_rows * d, k)[: A.nrows]
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +713,23 @@ def _set_bit_exact(semiring: Semiring, xv: np.ndarray) -> bool:
         return False
     if np.isnan(xv.min()):
         return False
-    return not np.signbit(xv[xv == 0]).any()
+    # -0.0 is the one bit pattern with only the sign bit set.
+    bits = xv.view(f"u{xv.itemsize}")
+    return not (bits == 1 << (8 * xv.itemsize - 1)).any()
+
+
+def _note_tile_sweep(
+    A: B2SRMatrix, acts: list[np.ndarray | None], counters: dict | None
+) -> None:
+    """Report what the tile sweep over the planes' column activities
+    ``acts`` (``None`` without skip) would report, so the modeled cost
+    does not depend on the host strategy."""
+    visits = A.n_tiles * len(acts)
+    if acts[0] is None:
+        note_active(counters, visits, visits)
+    else:
+        active = sum(int(np.count_nonzero(act[A.indices])) for act in acts)
+        note_active(counters, active, visits)
 
 
 def _set_bit_sweep(
@@ -700,18 +744,10 @@ def _set_bit_sweep(
     """Set-bit execution (module docstring): gather ``mult(1, x)`` at
     every stored bit, fold each row's run with one ``reduceat`` and
     scatter into ``y``, the identity-initialised output viewed as
-    ``(n_tile_rows·d, k)``.
-
-    ``counters`` receive exactly what the tile sweep over the planes'
-    column activities ``acts`` (``None`` without skip) would report, so
-    the modeled cost does not depend on the host strategy.
+    ``(n_tile_rows·d, k)``.  ``counters`` receive the tile sweep's
+    (:func:`_note_tile_sweep`).
     """
-    visits = A.n_tiles * len(acts)
-    if acts[0] is None:
-        note_active(counters, visits, visits)
-    else:
-        active = sum(int(np.count_nonzero(act[A.indices])) for act in acts)
-        note_active(counters, active, visits)
+    _note_tile_sweep(A, acts, counters)
     index = pl.set_bits
     if index.starts.size:
         # ``take`` rather than fancy indexing: same values, and several
@@ -835,6 +871,27 @@ def bmv_bin_full_full_multi(
     return _bmv_bin_full_full_core(A, xv, semiring, plan, skip, counters)
 
 
+def _value_acts(
+    A: B2SRMatrix,
+    pl: SweepPlan,
+    semiring: Semiring,
+    xv: np.ndarray,
+    skip: bool,
+) -> list[np.ndarray | None]:
+    """Per value plane, which column blocks hold a non-identity value
+    (``None`` per plane without skip)."""
+    d = A.tile_dim
+    if not skip:
+        return [None] * plane_count(xv.shape[1], d)
+    # Pad x to whole tiles for the per-block activity test.
+    xpad = pl.value_scratch(xv.dtype, xv.shape[1])
+    xpad[: A.ncols] = xv
+    return [
+        value_activity(xpad[:, sl], d, semiring.zero)
+        for sl in plane_slices(xv.shape[1], d)
+    ]
+
+
 def _bmv_bin_full_full_core(
     A: B2SRMatrix,
     xv: np.ndarray,
@@ -851,21 +908,14 @@ def _bmv_bin_full_full_core(
     )
     if A.n_tiles == 0 or k == 0:
         note_active(counters, 0, 0)
-        return y.reshape(-1, k)[: A.nrows]
+        return y.reshape(A.n_tile_rows * d, k)[: A.nrows]
 
     pl = _resolve_plan(A, plan)
     stripes = plane_slices(k, d)
-    acts: list[np.ndarray | None] = [None] * len(stripes)
-    if skip:
-        # Pad x to whole tiles for the per-block activity test.
-        xpad = pl.value_scratch(dt, k)
-        xpad[: A.ncols] = xv
-        acts = [
-            value_activity(xpad[:, sl], d, semiring.zero) for sl in stripes
-        ]
+    acts = _value_acts(A, pl, semiring, xv, skip)
     if _set_bit_exact(semiring, xv):
         _set_bit_sweep(A, pl, semiring, xv, y.reshape(-1, k), acts, counters)
-        return y.reshape(-1, k)[: A.nrows]
+        return y.reshape(A.n_tile_rows * d, k)[: A.nrows]
     zero = dt.type(semiring.zero)
     # Row j holds mult(1, x[:, j]) and then the identity sentinel that
     # the fused masked gather points unset bits at: ``ext[j][G]`` is
@@ -902,7 +952,111 @@ def _bmv_bin_full_full_core(
             y[ch.rows, :, sl] = semiring.add(
                 y[ch.rows, :, sl], pl.fold_runs(semiring, vals, ch)
             )
-    return y.reshape(-1, k)[: A.nrows]
+    return y.reshape(A.n_tile_rows * d, k)[: A.nrows]
+
+
+def bmv_bin_full_full_relax(
+    A: B2SRMatrix,
+    x: np.ndarray,
+    changed: np.ndarray,
+    semiring: Semiring,
+    *,
+    plan: SweepPlan | None = None,
+    skip: bool = False,
+    counters: dict | None = None,
+) -> np.ndarray:
+    """One round ``add(X, A ⊕.⊗ X)`` of a min/max fixed-point iteration
+    (SSSP's Bellman-Ford relaxation) over a square matrix, given which
+    entries of ``X`` (shape ``(n, k)``) changed since the last round.
+
+    ``changed`` (a bool array of ``X``'s shape) must cover every pair
+    ``(v, j)`` whose ``mult(1, X[v, j])`` is not yet folded into the
+    ``X`` column ``j`` of each row ``v`` reaches: the vertices that
+    improved in the last round, and in the first round every entry that
+    is not the add identity.  The kernel then pushes only from those
+    pairs (module docstring, "Set-bit execution") and returns, bit for
+    bit, the pull ``add(X, bmv_bin_full_full_multi(A, X))``: an
+    unchanged pair cannot move a row it reaches, and a min/max is
+    order-free on operands without NaN or ``-0.0``.
+
+    It pulls instead when the changed pairs hold more than
+    :data:`_RELAX_PUSH_SHARE` of the stored bits times ``k``, and when
+    the semiring or operand fails the set-bit rule.  ``skip`` and
+    ``counters`` are those of :func:`bmv_bin_full_full_multi`, computed
+    from the whole operand whatever the route.
+    """
+    dt = value_dtype(x)
+    xv = np.asarray(x).astype(dt, copy=False)
+    if A.nrows != A.ncols:
+        raise ValueError(
+            f"relaxation needs a square matrix, got {A.nrows}×{A.ncols}"
+        )
+    if xv.ndim != 2 or xv.shape[0] != A.ncols:
+        raise ValueError(
+            f"vectors must have shape ({A.ncols}, k), got {xv.shape}"
+        )
+    ch = np.asarray(changed)
+    if ch.shape != xv.shape or ch.dtype != bool:
+        raise ValueError(
+            f"changed must be a bool array of shape {xv.shape}, got "
+            f"{ch.dtype} {ch.shape}"
+        )
+    k = xv.shape[1]
+    if A.n_tiles and k and _set_bit_exact(semiring, xv):
+        pl = _resolve_plan(A, plan)
+        # Changed pair (v, j) is flat slot v·k + j; the 1-D
+        # ``flatnonzero`` is several times faster than a 2-D ``nonzero``.
+        pairs = np.flatnonzero(ch)
+        verts = pairs // k if k > 1 else pairs
+        ptr = pl.set_bit_columns.ptr
+        lo = ptr[verts]
+        lengths = ptr[verts + 1] - lo
+        if lengths.sum() <= _RELAX_PUSH_SHARE * k * pl.set_bits.gather.size:
+            _note_tile_sweep(
+                A, _value_acts(A, pl, semiring, xv, skip), counters
+            )
+            y = xv.copy()
+            _relax_push(pl, semiring, pairs, verts, lo, lengths, y)
+            return y
+    return semiring.add(
+        xv, _bmv_bin_full_full_core(A, xv, semiring, plan, skip, counters)
+    )
+
+
+def _relax_push(
+    pl: SweepPlan,
+    semiring: Semiring,
+    pairs: np.ndarray,
+    verts: np.ndarray,
+    lo: np.ndarray,
+    lengths: np.ndarray,
+    y: np.ndarray,
+) -> None:
+    """Push route of :func:`bmv_bin_full_full_relax`.  ``y`` holds a
+    C-ordered copy of the ``(n, k)`` operand; fold ``mult(1, y[v, j])``
+    of every changed pair — flat slot ``pairs[i] = v·k + j``, vertex
+    ``verts[i]`` — into ``y[r, j]`` for each row ``r`` of its column run
+    ``lo[i] … lo[i] + lengths[i] - 1`` in
+    :attr:`SweepPlan.set_bit_columns`, as one scatter over the flat
+    slots ``r·k + j``.  Only the changed pairs' stored bits are
+    touched."""
+    ends = np.cumsum(lengths)
+    if ends.size == 0 or ends[-1] == 0:
+        return
+    pos = np.arange(ends[-1]) + np.repeat(lo - ends + lengths, lengths)
+    rows = pl.set_bit_columns.rows[pos]
+    k = y.shape[1]
+    flat = y.reshape(-1)
+    # Read the pushed values before the scatter writes into ``y``.
+    vals = np.repeat(semiring.mult_matrix_one(flat[pairs]), lengths)
+    if k > 1:
+        # In intp: the int32 rows times k may not fit in int32.
+        cols = pairs - verts * k
+        rows = rows.astype(np.intp) * k + np.repeat(cols, lengths)
+    # A scatter, not a fold: min/max is exact and order-free on these
+    # operands, and it touches only the changed pairs' stored bits
+    # (measured faster than the pull below _RELAX_PUSH_SHARE).
+    semiring.add_at(flat, rows, vals)
 
 
 # ---------------------------------------------------------------------------

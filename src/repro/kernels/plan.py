@@ -556,8 +556,8 @@ def value_activity(
     if z == 0.0:
         # Bit-level: -0.0 compares equal to +0.0 but must stay active.
         neq |= np.signbit(xpad) != np.signbit(z)
-    blocks = neq.reshape(-1, tile_dim, xpad.shape[1])
-    return blocks.any(axis=(1, 2))
+    # One row per column block: its d values of every batch column.
+    return neq.reshape(-1, tile_dim * xpad.shape[1]).any(axis=1)
 
 
 def note_active(

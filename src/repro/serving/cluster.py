@@ -586,7 +586,7 @@ class ScaleRecord:
     """One autoscaler action against observed attainment."""
 
     time_ms: float
-    action: str  # "add" | "drain" | "drained"
+    action: str  # "add" | "drain" | "drained" | "reactivate"
     sid: int
     attainment: float
     n_available: int
@@ -946,15 +946,25 @@ class _RouterController:
             )
             self.policy.refresh(self.open_batches, self.ctx)
 
-    def finalize(self, now: float) -> None:
-        """Fail closed whatever the loop could not serve (no surviving
-        capacity and no recovery event left) — every query in the
-        stream gets an outcome, served or not."""
+    def finalize(self, now: float, *, stalled: bool = False) -> None:
+        """Fail closed whatever the loop could not serve — no surviving
+        capacity and no recovery event left, or (``stalled``) the loop's
+        no-progress bound tripped — so every query in the stream gets an
+        outcome, served or not."""
+        self._fail_open(
+            now,
+            "stalled: modeled time kept advancing with no arrival, "
+            "launch or finish" if stalled
+            else "stranded: no available server and no recovery scheduled",
+        )
+
+    def _fail_open(self, now: float, reason: str) -> None:
+        """Fail every open batch closed at ``now``."""
         for batch in list(self.open_batches):
             self._fail_batch(
                 batch, now,
                 batch.sid if batch.sid is not None else -1,
-                "stranded: no available server and no recovery scheduled",
+                reason,
             )
         self.open_batches.clear()
 
@@ -995,6 +1005,16 @@ class _RouterController:
             return
         while self._next_scale <= now + EPS:
             self._next_scale += scaler.interval_ms
+        self._scale_step(now)
+        if self.open_batches and not any(
+            s.available for s in self.servers
+        ):
+            self._rescue_stranded(now)
+
+    def _scale_step(self, now: float) -> None:
+        """One interval's attainment-driven add-or-drain decision."""
+        scaler = self.autoscaler
+        assert scaler is not None
         attainment = self._recent_attainment(now)
         if attainment is None:
             return
@@ -1024,6 +1044,36 @@ class _RouterController:
                     )
                 )
                 self._refresh_capacity()
+
+    def _rescue_stranded(self, now: float) -> None:
+        """Work is queued and no server is available after the interval's
+        scaling decision: re-activate a drained (or draining) server
+        that has not crashed.  With none, and no recovery left in the
+        fault plan, fail the stranded queries closed — the autoscaler's
+        ticks would otherwise advance modeled time forever, waiting on
+        capacity that never comes back."""
+        for s in self.servers:
+            if s.sid not in self._crashed_sids and not s.available:
+                s.recover(now)
+                self._refresh_capacity()
+                self.scale_records.append(
+                    ScaleRecord(
+                        time_ms=now, action="reactivate", sid=s.sid,
+                        attainment=self._recent_attainment(now) or 0.0,
+                        n_available=1,
+                    )
+                )
+                return
+        if any(
+            ev.kind == "recover"
+            for ev in self.fault_events[self._next_fault:]
+        ):
+            return
+        self._fail_open(
+            now,
+            "stranded: every server crashed or drained, none can be "
+            "re-activated and no recovery is scheduled",
+        )
 
     def _add_server(self, now: float) -> int:
         """Grow capacity: re-activate a drained server if one exists
@@ -1374,8 +1424,9 @@ class Router:
             np.random.default_rng(self.seed), verify, muts,
             data_plane, faults, autoscaler, steal, max_requeues,
         )
-        end = EventLoop(servers).run(stream, controller)
-        controller.finalize(end)
+        loop = EventLoop(servers)
+        end = loop.run(stream, controller)
+        controller.finalize(end, stalled=loop.stalled)
         plane_extra = (
             None if data_plane is None
             else self._finish_pool(controller, data_plane, verify)

@@ -136,6 +136,15 @@ class Controller(Protocol):
         ...
 
 
+#: No-progress bound of :meth:`EventLoop.run`: consecutive time advances
+#: with no arrival, no launch and no server busy.  Such advances come
+#: only from controller timers (batch deadlines, fault and mutation
+#: events, autoscaler ticks); a legitimate run needs a handful between
+#: launches, while a controller that keeps waking with nothing it can
+#: start would otherwise spin forever.
+MAX_IDLE_ADVANCES = 10_000
+
+
 class EventLoop:
     """Drive a controller over a time-sorted arrival stream.
 
@@ -157,15 +166,23 @@ class EventLoop:
             raise ValueError("EventLoop needs at least one server")
         self.servers = servers
         self.now = 0.0
+        #: Whether the last :meth:`run` stopped on its no-progress bound.
+        self.stalled = False
 
     def run(self, stream: list[Arrival], controller: Controller) -> float:
-        """Simulate until the stream is drained and nothing is pending.
-        Returns the final simulated clock."""
+        """Simulate until the stream is drained and nothing is pending,
+        or until :data:`MAX_IDLE_ADVANCES` time advances in a row pass
+        with no arrival, no launch and nothing in flight (``stalled``;
+        the controller then fails what is left closed).  Returns the
+        final simulated clock."""
         now = 0.0
         i = 0
+        idle = 0
+        self.stalled = False
         while i < len(stream) or controller.has_pending():
+            launched = False
             while controller.dispatch(now):
-                pass
+                launched = True
             next_t = stream[i].time_ms if i < len(stream) else math.inf
             wake = [next_t, controller.next_timer(now)]
             if controller.has_pending():
@@ -186,8 +203,14 @@ class EventLoop:
                 now = next_t
                 controller.on_arrival(now, i, stream[i])
                 i += 1
-            else:
-                now = target
+                idle = 0
+                continue
+            in_flight = any(s.free_at > now + EPS for s in self.servers)
+            idle = 0 if launched or in_flight else idle + 1
+            if idle > MAX_IDLE_ADVANCES:
+                self.stalled = True
+                break
+            now = target
         self.now = now
         return now
 
@@ -248,4 +271,7 @@ class QueryOutcome:
         return self.finish_ms <= self.arrival.deadline_ms + EPS
 
 
-__all__ = ["EPS", "Controller", "EventLoop", "QueryOutcome", "Server"]
+__all__ = [
+    "EPS", "MAX_IDLE_ADVANCES", "Controller", "EventLoop", "QueryOutcome",
+    "Server",
+]

@@ -447,6 +447,85 @@ class TestAutoscaler:
         assert rep.failed == 0
 
 
+    def test_chaos_seed3_livelock_regression(self):
+        """Seed 3: the autoscaler drains server 2, then both other
+        servers crash for good.  The stranded work re-activates the
+        drained server instead of ticking modeled time forever, and
+        every query is served or failed closed, exactly once."""
+        reg = GraphRegistry(max_batch=8)
+        reg.add("g0", hybrid_pattern(96, seed=3), tile_dim=8)
+        reg.add("g1", road_pattern(96, seed=4), tile_dim=8)
+        sizes = {name: reg[name].engine.n for name in reg.names}
+        stream = multi_graph_poisson_stream(
+            sizes, requests=60, rate_qps=24000.0, slo_ms=6.0,
+            urgent_slo_ms=3.0, seed=3,
+        )
+        horizon = max(a.time_ms for a in stream)
+        scaler = Autoscaler(
+            min_servers=1, max_servers=4, interval_ms=1.0, window=8
+        )
+        out, rep = Router(reg, n_servers=3, seed=3).run(
+            stream, verify=True,
+            faults=chaos_plan(3, horizon, crashes=2, seed=3),
+            autoscaler=scaler,
+        )
+        actions = [(r.action, r.sid) for r in rep.extra["scales"]]
+        assert ("drained", 2) in actions
+        assert ("reactivate", 2) in actions
+        assert len(out) == len(stream)
+        assert_accounted(out)
+
+    def test_stranded_without_capacity_fails_closed(self):
+        """Every server crashes for good and the autoscaler neither adds
+        nor drains one: the stranded queries fail closed with a reason
+        instead of the autoscaler ticking forever."""
+        reg = make_registry()
+        stream = make_stream(reg, requests=40)
+        at = stream[len(stream) // 2].time_ms
+        plan = FaultPlan().crash(0, at=at).crash(1, at=at)
+        scaler = Autoscaler(
+            min_servers=2, max_servers=2, interval_ms=0.5,
+            upscale_below=0.0,
+        )
+        out, rep = Router(reg, n_servers=2, seed=0).run(
+            stream, faults=plan, autoscaler=scaler
+        )
+        assert_accounted(out)
+        reasons = {o.failure for o in out if o.failure}
+        assert any("none can be re-activated" in r for r in reasons)
+        assert any(o.result is not None for o in out)
+
+
+class TestEventLoopBound:
+    def test_no_progress_bound_stops_a_spinning_controller(self):
+        """A controller that keeps work pending and keeps waking with
+        nothing to launch is stopped by the no-progress bound."""
+        from repro.serving.events import MAX_IDLE_ADVANCES, EventLoop
+
+        class Spinner:
+            wakes = 0
+
+            def on_arrival(self, now, seq, arrival):
+                pass
+
+            def dispatch(self, now):
+                return False
+
+            def next_timer(self, now):
+                self.wakes += 1
+                return now + 1.0
+
+            def has_pending(self):
+                return True
+
+        loop = EventLoop([Server(sid=0)])
+        spinner = Spinner()
+        end = loop.run([], spinner)
+        assert loop.stalled
+        assert spinner.wakes == MAX_IDLE_ADVANCES + 1
+        assert end == float(MAX_IDLE_ADVANCES)
+
+
 # ----------------------------------------------------------------------
 # Real data plane under faults
 # ----------------------------------------------------------------------

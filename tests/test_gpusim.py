@@ -1,6 +1,8 @@
 """Tests for the GPU simulator substrate: devices, counters, caches,
 timing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,29 @@ class TestKernelStats:
         a = KernelStats(launches=1, dram_bytes=10)
         a += KernelStats(launches=1, l2_bytes=20)
         assert a.launches == 2 and a.l2_bytes == 20
+
+    def test_iadd_in_place(self):
+        """``+=`` adds into the left operand itself (aliases see it),
+        leaves the right operand untouched, keeps the left tag unless it
+        is empty, and gives the fields of ``+``."""
+        a = KernelStats(launches=1, dram_bytes=0.1, min_compute_us=0.2)
+        b = KernelStats(
+            launches=2, dram_bytes=0.2, min_compute_us=0.1, host_us=4.0,
+            tag="bmv",
+        )
+        alias = a
+        b_before = replace(b)
+        want = a + b
+        a += b
+        assert a is alias
+        assert a == want
+        assert b == b_before
+        assert a.tag == "bmv"
+        c = KernelStats(tag="ewise")
+        c += b
+        assert c.tag == "ewise"
+        with pytest.raises(TypeError):
+            c += 1
 
     def test_scaled(self):
         a = KernelStats(

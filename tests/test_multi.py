@@ -575,6 +575,34 @@ class TestSlicedExpand:
             bmv_bin_bin_bin_sliced_masked(A, ok.astype(np.int64), ok, 3)
 
 
+    @pytest.mark.parametrize("wide,k", ((21, 3), (64, 63), (130, 65)))
+    def test_bits_beyond_k_rejected(self, wide, k):
+        """Words packed for a wider batch carry bits at positions >= k:
+        the kernel, the bit engine and the base-class default reject
+        them instead of returning (or dropping) the extra traversals."""
+        g = sliced_graph("mixed")
+        F = np.zeros((SLICED_N, wide), dtype=bool)
+        F[3, k] = True
+        fw = pack_batch_words(F)[:, : (k + 63) // 64]
+        vw = np.zeros_like(fw)
+        with pytest.raises(ValueError, match=f"positions >= k={k}"):
+            bmv_bin_bin_bin_sliced_masked(g.b2sr_t(8), fw, vw, k)
+        with pytest.raises(ValueError, match=f"positions >= k={k}"):
+            bmv_bin_bin_bin_sliced_masked(g.b2sr_t(8), vw, fw, k)
+        for engine in (BitEngine(g, tile_dim=8), GraphBLASTEngine(g)):
+            with pytest.raises(ValueError, match="frontiers carry bits"):
+                engine.frontier_expand_multi(fw, vw, k)
+            with pytest.raises(ValueError, match="visiteds carry bits"):
+                engine.frontier_expand_multi(vw, fw, k)
+            # Every bit below k is accepted.
+            F_ok = np.zeros((SLICED_N, k), dtype=bool)
+            F_ok[3, k - 1] = True
+            out = engine.frontier_expand_multi(
+                pack_batch_words(F_ok), vw, k
+            )
+            assert out.shape == fw.shape
+
+
 # ---------------------------------------------------------------------------
 # Push and pull routes of the set-bit sweep
 # ---------------------------------------------------------------------------
