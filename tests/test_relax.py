@@ -213,6 +213,8 @@ class TestRelaxKernel:
         assert bmv.bmv_bin_full_full_relax(
             B, empty, empty != 0, MIN_PLUS
         ).shape == (N, 0)
+        no_words = np.zeros((B.n_tile_cols, 0), dtype=B.tiles.dtype)
+        assert bmv.bmv_bin_bin_full_multi(B, no_words).shape == (N, 0)
 
     def test_operand_validation(self):
         A = b2sr_from_dense(edge_cases_dense(), 8)
